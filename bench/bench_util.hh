@@ -198,8 +198,8 @@ parseKvArg(serve::KvMode &mode, int argc, char **argv, int &i)
 }
 
 /**
- * Prefix-caching options shared by `serve_slo`, `fleet_capacity`, and
- * `examples/prefix_serving` — one parser instead of three copies.
+ * Prefix-caching options shared by `serve_slo` and `fleet_capacity`
+ * — one parser instead of two copies.
  * Defaults leave caching off and the workload unannotated, so a
  * binary that never sees the flags stays byte-identical.
  */
@@ -280,8 +280,8 @@ applyPrefixCache(serve::ServerConfig &cfg, const PrefixOptions &opt)
 }
 
 /**
- * Chunked-prefill options shared by `serve_slo`, `fleet_capacity`,
- * and `examples/chunked_serving`. Defaults leave chunking off, so a
+ * Chunked-prefill options shared by `serve_slo` and
+ * `fleet_capacity`. Defaults leave chunking off, so a
  * binary that never sees the flags stays byte-identical.
  */
 struct ChunkOptions
@@ -345,10 +345,9 @@ applyChunkedPrefill(serve::ServerConfig &cfg, const ChunkOptions &opt)
 }
 
 /**
- * Speculative-decoding options shared by `serve_slo`,
- * `fleet_capacity`, and `examples/speculative_serving`. Defaults
- * leave speculation off, so a binary that never sees the flags stays
- * byte-identical.
+ * Speculative-decoding options shared by `serve_slo` and
+ * `fleet_capacity`. Defaults leave speculation off, so a binary that
+ * never sees the flags stays byte-identical.
  */
 struct SpecOptions
 {

@@ -67,12 +67,15 @@ FleetSimulator::run(std::vector<serve::Request> trace)
 {
     if (trace.empty())
         cllm_fatal("FleetSimulator::run: empty trace");
-    std::sort(trace.begin(), trace.end(),
+    // The engines hold pointers into the trace: drop the previous
+    // run's nodes before replacing the requests they point at.
+    nodes_.clear();
+    trace_ = std::move(trace);
+    std::sort(trace_.begin(), trace_.end(),
               [](const serve::Request &a, const serve::Request &b) {
                   return a.arrival < b.arrival;
               });
 
-    nodes_.clear();
     scaleUps_ = 0;
     drains_ = 0;
     obs::Tracer *tr = simTracer(cfg_);
@@ -125,8 +128,8 @@ FleetSimulator::run(std::vector<serve::Request> trace)
                 n->engine().idle())
                 n->finishDrain();
 
-        const double t_arrival = next_arrival < trace.size()
-                                     ? trace[next_arrival].arrival
+        const double t_arrival = next_arrival < trace_.size()
+                                     ? trace_[next_arrival].arrival
                                      : kInf;
 
         int node_idx = -1;
@@ -168,7 +171,7 @@ FleetSimulator::run(std::vector<serve::Request> trace)
         if (t_arrival == t_next) {
             fleet_now = t_arrival;
             flush_backlog(fleet_now);
-            serve::Request *r = &trace[next_arrival++];
+            serve::Request *r = &trace_[next_arrival++];
             // FIFO: never jump the queue past an existing backlog.
             if (!backlog.empty() || !route_one(r, fleet_now)) {
                 backlog.push_back(r);
@@ -228,14 +231,13 @@ FleetSimulator::run(std::vector<serve::Request> trace)
             std::min(t_arrival, t_commission));
     }
 
-    return finalize(trace, backlogged_total);
+    return finalize(backlogged_total);
 }
 
 FleetMetrics
-FleetSimulator::finalize(const std::vector<serve::Request> &trace,
-                         std::size_t backlogged_total)
+FleetSimulator::finalize(std::size_t backlogged_total)
 {
-    double makespan = trace.back().arrival;
+    double makespan = trace_.back().arrival;
     serve::ServeTally tally{};
     double occupancy_sum = 0.0;
     std::size_t steps = 0;
@@ -292,8 +294,8 @@ FleetSimulator::finalize(const std::vector<serve::Request> &trace,
     }
 
     std::vector<const serve::Request *> reqs;
-    reqs.reserve(trace.size());
-    for (const serve::Request &r : trace)
+    reqs.reserve(trace_.size());
+    for (const serve::Request &r : trace_)
         reqs.push_back(&r);
     const serve::ServeMetrics agg = serve::finalizeRequests(
         reqs, makespan, occupancy_sum, steps, tally, cfg_.ttftSlo,

@@ -67,10 +67,17 @@ class FleetSimulator
     FleetSimulator(FleetConfig cfg,
                    std::vector<NodeTemplate> templates);
 
-    /** Simulate a shared arrival trace through the fleet. */
+    /**
+     * Simulate a shared arrival trace through the fleet. The simulator
+     * keeps its arrival-sorted copy of the trace until the next run,
+     * so the nodes' engines (which point into it) stay inspectable.
+     */
     FleetMetrics run(std::vector<serve::Request> trace);
 
-    /** Nodes after a run (lifecycle state, per-node engines). */
+    /**
+     * Nodes after a run (lifecycle state, per-node engines); valid
+     * until the next run.
+     */
     const std::vector<std::unique_ptr<Node>> &nodes() const
     {
         return nodes_;
@@ -79,12 +86,12 @@ class FleetSimulator
   private:
     void addNode(std::size_t template_index, double provision_start,
                  double available_at);
-    FleetMetrics finalize(const std::vector<serve::Request> &trace,
-                          std::size_t backlogged_total);
+    FleetMetrics finalize(std::size_t backlogged_total);
 
     FleetConfig cfg_;
     std::vector<NodeTemplate> templates_;
     std::vector<std::unique_ptr<Node>> nodes_;
+    std::vector<serve::Request> trace_; //!< the last run's requests
     std::size_t scaleUps_ = 0;
     std::size_t drains_ = 0;
 };

@@ -259,7 +259,8 @@ ContinuousEngine::ContinuousEngine(const StepModel &step,
         tally_.specEnabled = true;
     }
     if (cfg_.kvBlocks)
-        pool_.emplace(KvPoolConfig{cfg_.kvBlocks, cfg_.kvBlockTokens});
+        pool_.emplace(
+            mem::PagedKvConfig{cfg_.kvBlocks, cfg_.kvBlockTokens});
     if (cfg_.prefixMode != PrefixMode::Off) {
         // &*pool_ is stable: the optional is never re-emplaced.
         prefix_.emplace(cfg_.prefixMode, &*pool_,
@@ -275,6 +276,12 @@ ContinuousEngine::submit(Request *r, double ready_at, unsigned attempts)
         r->promptTokens.size() != r->inLen)
         cllm_fatal("ContinuousEngine: prompt token count mismatch "
                    "for request ",
+                   r->id);
+    // Every engine step emits at least one token per decoder, so a
+    // zero-length generation would over-emit and, in spec mode, draw
+    // a draft width past the admission-checked context.
+    if (r->outLen == 0)
+        cllm_fatal("ContinuousEngine: zero output length for request ",
                    r->id);
     pending_.push({r, ready_at, attempts, 0, false, -1.0});
     submitted_.push_back(r);
@@ -496,24 +503,28 @@ ContinuousEngine::preemptActive(std::size_t idx)
                    victim.produced, swapped, victim.lastEmit});
 }
 
-// Before a paged decode step every active sequence must be able to
-// append one token. Grow in index order (admission order); on pool
-// exhaustion evict from the tail (LIFO — the youngest sequence has
-// the least sunk cost), or the growing sequence itself when it is
-// the youngest. The head of the batch can always finish: admission
-// guaranteed its full context fits in the pool alone.
+// Before a paged step every decoding sequence must be able to append
+// this step's tokens: one, plus its draft width in spec mode.
+// Prefilling sequences (chunked mode) already hold their whole
+// resident context and are skipped. Grow in index order (admission
+// order); on pool exhaustion evict from the tail (LIFO — the youngest
+// sequence has the least sunk cost), whatever phase it is in, or the
+// growing sequence itself when it is the youngest. The head of the
+// batch can always finish: admission guaranteed its full context fits
+// in the pool alone.
 void
-ContinuousEngine::growActivePaged()
+ContinuousEngine::growPaged()
 {
     for (std::size_t i = 0; i < active_.size();) {
         const ActiveSeq &a = active_[i];
+        if (a.prefillDone < a.prefillTarget) {
+            ++i;
+            continue;
+        }
         Request *r = a.req;
-        // A spec cycle appends k drafts plus the verified emission;
-        // plain decode appends one token. draftK <= outLen-produced-1
-        // keeps the target inside the admission-checked full context,
-        // so the head of the batch can still always finish.
-        const unsigned target =
-            r->inLen + a.produced + (spec_ ? a.draftK + 1u : 1u);
+        // draftK <= outLen-produced-1 keeps the target inside the
+        // admission-checked full context.
+        const unsigned target = r->inLen + a.produced + a.draftK + 1u;
         if (pool_->tokens(r->id) >= target) {
             ++i;
             continue;
@@ -536,48 +547,6 @@ ContinuousEngine::growActivePaged()
             preemptActive(i + 1 < active_.size() ? active_.size() - 1
                                                  : i);
             continue; // retry the same slot (or fall off the end)
-        }
-        if (!pool_->appendToken(r->id))
-            cllm_panic("paged KV append failed with free blocks");
-    }
-}
-
-// Chunked-mode growth: prefilling sequences already hold their whole
-// resident context (allocated at admission), so only decoding
-// sequences need a token's worth of room this step. Victim selection
-// is unchanged — LIFO from the batch tail, whatever phase the victim
-// is in; preemptActive downgrades mid-prefill victims to recompute.
-void
-ContinuousEngine::growDecodingPaged()
-{
-    for (std::size_t i = 0; i < active_.size();) {
-        ActiveSeq &a = active_[i];
-        if (a.prefillDone < a.prefillTarget) {
-            ++i;
-            continue;
-        }
-        Request *r = a.req;
-        const unsigned target =
-            r->inLen + a.produced + (spec_ ? a.draftK + 1u : 1u);
-        if (pool_->tokens(r->id) >= target) {
-            ++i;
-            continue;
-        }
-        const bool needs_block =
-            pool_->tokens(r->id) % cfg_.kvBlockTokens == 0;
-        if (needs_block && pool_->freeBlocks() == 0) {
-            if (prefix_) {
-                const std::uint64_t freed =
-                    prefix_->evictToFree(1, clock_);
-                if (freed > 0) {
-                    prefixEvictCounter().add(freed);
-                    syncPrefixTally();
-                    continue;
-                }
-            }
-            preemptActive(i + 1 < active_.size() ? active_.size() - 1
-                                                 : i);
-            continue;
         }
         if (!pool_->appendToken(r->id))
             cllm_panic("paged KV append failed with free blocks");
@@ -908,352 +877,88 @@ ContinuousEngine::iterate(double admit_horizon)
     if (active_.empty())
         return; // everything remaining was dropped
 
-    // Chunked mode with any sequence still prefilling runs one mixed
-    // token-budgeted step instead of the monolithic decode below;
-    // once every active sequence is decoding the paths converge.
-    if (chunked_) {
-        bool any_prefilling = false;
-        for (const ActiveSeq &a : active_) {
-            if (a.prefillDone < a.prefillTarget) {
-                any_prefilling = true;
-                break;
-            }
-        }
-        if (any_prefilling) {
-            chunkedStep();
-            return;
-        }
-    }
-
-    // Speculative decoding runs its own propose->verify cycle (which
-    // does its own KV growth: draft widths must be fixed first).
-    if (spec_) {
-        specStep();
-        return;
-    }
-
-    // Paged mode: make room for this step's tokens, evicting from the
-    // batch tail when the pool is exhausted.
-    if (pool_ && cfg_.kvMode == KvMode::Paged) {
-        growActivePaged();
-        kvPeak_ = std::max(kvPeak_, pool_->utilization());
-        if (active_.empty())
-            return; // whole batch preempted (pathological pool)
-    }
-
-    // One decode step for everyone currently active.
-    double avg_pos = 0.0;
-    for (const ActiveSeq &a : active_)
-        avg_pos += a.req->inLen + a.produced;
-    avg_pos /= active_.size();
-    const double step_t0 = clock_;
-    double step_sec = step_->decodeStep(
-        static_cast<double>(active_.size()), avg_pos);
-    if (inj_.enabled())
-        step_sec *= inj_.slowdown(clock_);
-    clock_ += step_sec;
-    maxActive_ = std::max(maxActive_, active_.size());
-    kvUtilSum_ += pool_ ? pool_->utilization() : 0.0;
-    ++steps_;
-    ++tally_.decodeSteps;
-    decodeStepCounter().inc();
-    if (tr)
-        tr->complete(
-            lane, "decode", step_t0, clock_,
-            {{"batch", static_cast<double>(active_.size())},
-             {"avg_pos", avg_pos}});
-
-    std::uint64_t emitted_total = 0;
-    for (auto it = active_.begin(); it != active_.end();) {
-        // Deadline first: a token completing past the deadline is
-        // never delivered, so it enters neither itlSamples nor the
-        // occupancy sum, and the victim's earlier emissions come back
-        // out of the sum — only completed requests bill tokens, and
-        // occupancySum == outputTokens holds in any restart-free run.
-        if (rp.requestTimeout > 0.0 &&
-            clock_ - it->req->arrival > rp.requestTimeout) {
-            ++tally_.timedOut;
-            occupancySum_ -= static_cast<double>(it->produced);
-            if (pool_)
-                pool_->release(it->req->id);
-            if (tr) {
-                tr->instant(
-                    lane, "timeout_decoding", clock_,
-                    {{"req",
-                      static_cast<double>(it->req->id)}});
-                tr->asyncEnd(lane, kReqCat, it->req->id, "timeout",
-                             clock_);
-            }
-            it = active_.erase(it);
-            continue;
-        }
-        ++it->produced;
-        ++emitted_total;
-        // Inter-token gap, measured client-side: from the previous
-        // emission (wherever it happened — before a preemption, even
-        // before a restart) to this one.
-        tally_.itlSamples.push_back(clock_ - it->lastEmit);
-        it->lastEmit = clock_;
-        if (it->produced >= it->req->outLen) {
-            it->req->finish = clock_;
-            finished_.push_back(it->req);
-            if (pool_)
-                pool_->release(it->req->id);
-            if (tr)
-                tr->asyncEnd(lane, kReqCat, it->req->id,
-                             "complete", clock_);
-            it = active_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    occupancySum_ += static_cast<double>(emitted_total);
-    tokenCounter().add(emitted_total);
-    if (pool_) {
-        publishKvGauges();
-        if (tr)
-            tr->counterValue(lane, "kv_util", clock_,
-                             pool_->utilization());
-    }
+    step();
 }
 
-// One speculative propose->verify cycle. The draft model proposes up
-// to k tokens per sequence (capped so the cycle never runs past the
-// sequence's last token — the verify emission covers it); the target
-// scores all drafts in one fused verify step, paying the weight
-// stream and the per-step TEE tax (MEE/EPC traffic, enclave
-// transitions, launch encryption) once for up to k+1 tokens. Each
-// sequence then emits its accepted draft prefix plus one token: the
-// bonus token when every draft survived, the rejection-resampled
-// correction otherwise. Rejected draft KV rolls back out of the
-// paged pool so reuse, forks, and pins stay consistent.
 void
-ContinuousEngine::specStep()
+ContinuousEngine::step()
 {
-    const ResiliencePolicy &rp = cfg_.resilience;
-    obs::Tracer *tr = simTracer(cfg_);
-    const std::uint32_t lane = cfg_.traceLane;
-    const SpecDecodePolicy &sp = cfg_.specDecode;
-
-    // Fix draft widths first: KV growth must know how many tokens of
-    // room each sequence needs this cycle.
-    for (ActiveSeq &a : active_) {
-        const unsigned remaining = a.req->outLen - a.produced;
-        a.draftK = std::min(sp.draftTokens, remaining - 1);
-    }
-    if (pool_ && cfg_.kvMode == KvMode::Paged) {
-        growActivePaged();
-        kvPeak_ = std::max(kvPeak_, pool_->utilization());
-        if (active_.empty())
-            return; // whole batch preempted (pathological pool)
-    }
-
-    const double n = static_cast<double>(active_.size());
-    double avg_pos = 0.0;
-    double mean_k = 0.0;
-    for (const ActiveSeq &a : active_) {
-        avg_pos += a.req->inLen + a.produced;
-        mean_k += a.draftK;
-    }
-    avg_pos /= n;
-    mean_k /= n;
-
-    // Price one draft pass plus one fused verify step. The draft
-    // model runs k sequential decode steps at draftCostRatio of the
-    // target's price; the verify streams the weights once for the
-    // whole k+1-token window.
-    const double step_t0 = clock_;
-    const double slow = inj_.enabled() ? inj_.slowdown(clock_) : 1.0;
-    const double draft_sec =
-        mean_k > 0.0
-            ? sp.draftCostRatio * mean_k *
-                  step_->decodeStep(n, avg_pos) * slow
-            : 0.0;
-    const double verify_sec =
-        step_->verifyStep(n, mean_k, avg_pos) * slow;
-    clock_ += draft_sec + verify_sec;
-    maxActive_ = std::max(maxActive_, active_.size());
-    kvUtilSum_ += pool_ ? pool_->utilization() : 0.0;
-    ++steps_;
-    ++tally_.decodeSteps;
-    ++tally_.specVerifySteps;
-    decodeStepCounter().inc();
-    specVerifyCounter().inc();
-    if (tr) {
-        const double draft_end = step_t0 + draft_sec;
-        if (draft_sec > 0.0)
-            tr->complete(lane, "decode.draft", step_t0, draft_end,
-                         {{"batch", n}, {"draft_k", mean_k}});
-        tr->complete(lane, "decode.verify", draft_end, clock_,
-                     {{"batch", n},
-                      {"draft_k", mean_k},
-                      {"avg_pos", avg_pos}});
-    }
-
-    const bool paged = pool_ && cfg_.kvMode == KvMode::Paged;
-    std::uint64_t emitted_total = 0;
-    std::uint64_t drafted = 0;
-    std::uint64_t accepted_total = 0;
-    std::uint64_t bonus_total = 0;
-    std::uint64_t reject_total = 0;
-    for (auto it = active_.begin(); it != active_.end();) {
-        // Deadline first, before anything from this cycle is
-        // delivered (see the monolithic loop).
-        if (rp.requestTimeout > 0.0 &&
-            clock_ - it->req->arrival > rp.requestTimeout) {
-            ++tally_.timedOut;
-            occupancySum_ -= static_cast<double>(it->produced);
-            if (pool_)
-                pool_->release(it->req->id);
-            if (tr) {
-                tr->instant(
-                    lane, "timeout_decoding", clock_,
-                    {{"req",
-                      static_cast<double>(it->req->id)}});
-                tr->asyncEnd(lane, kReqCat, it->req->id, "timeout",
-                             clock_);
-            }
-            it = active_.erase(it);
-            continue;
-        }
-        // Longest accepted draft prefix: position produced+j is a
-        // pure function of (seed, id, j), replayable anywhere.
-        unsigned acc = 0;
-        while (acc < it->draftK &&
-               specAccept(sp, it->req->id, it->produced + acc))
-            ++acc;
-        const unsigned emit = acc + 1;
-        drafted += it->draftK;
-        accepted_total += acc;
-        tally_.specDraftTokens += it->draftK;
-        tally_.specAccepted += acc;
-        // The +1 token is a bonus token when every draft survived,
-        // else the rejection-resampled correction — so accepted +
-        // rejected + bonus counts every emitted token exactly once.
-        if (acc == it->draftK) {
-            ++tally_.specBonus;
-            ++bonus_total;
-        } else {
-            ++tally_.specRejected;
-            ++reject_total;
-        }
-        // The cycle's tokens reach the client together at the verify
-        // boundary; spread the gap across them so ITL samples keep
-        // their per-token meaning.
-        const double gap = (clock_ - it->lastEmit) /
-                           static_cast<double>(emit);
-        for (unsigned j = 0; j < emit; ++j)
-            tally_.itlSamples.push_back(gap);
-        it->lastEmit = clock_;
-        it->produced += emit;
-        emitted_total += emit;
-        // Roll rejected draft KV back out of the pool (no-op when
-        // every draft survived; reserved mode holds the full
-        // reservation and never trims).
-        if (paged && it->produced < it->req->outLen)
-            pool_->trimTokens(it->req->id,
-                              it->req->inLen + it->produced);
-        if (it->produced >= it->req->outLen) {
-            it->req->finish = clock_;
-            finished_.push_back(it->req);
-            if (pool_)
-                pool_->release(it->req->id);
-            if (tr)
-                tr->asyncEnd(lane, kReqCat, it->req->id,
-                             "complete", clock_);
-            it = active_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    occupancySum_ += static_cast<double>(emitted_total);
-    tokenCounter().add(emitted_total);
-    specDraftCounter().add(drafted);
-    specAcceptCounter().add(accepted_total);
-    specRejectCounter().add(reject_total);
-    specBonusCounter().add(bonus_total);
-    if (pool_) {
-        publishKvGauges();
-        if (tr)
-            tr->counterValue(lane, "kv_util", clock_,
-                             pool_->utilization());
-    }
+    if (!planStep())
+        return; // whole batch preempted (pathological pool)
+    priceStep();
+    applyStep();
 }
 
-// One mixed prefill/decode iteration under the token budget. Every
-// decoding sequence emits a token; prefilling sequences advance by at
-// most one chunk each, planned in admission order from whatever
-// budget decode left over (DecodePriority) or ahead of decode
-// (PrefillPriority — decode still runs, it just stops constraining
-// the slices). The step is priced as one fused launch: the decode
-// batch streams the weights once, and every slice after the first
-// co-scheduled phase rides that stream, paying only its marginal
-// working set (its attention FLOPs, its activations, the KV it
-// writes, the prefix KV it re-reads) plus its own per-op fixed costs.
-void
-ContinuousEngine::chunkedStep()
+// Plan one step. Spec mode fixes draft widths first: KV growth must
+// know how much room each decoder needs this cycle. Growth may then
+// preempt from the tail (possibly a prefilling sequence), so the batch
+// splits into decoders and prefillers only afterwards. Slices are cut
+// in admission order: DecodePriority reserves one budget token per
+// decoder before any slice is cut, PrefillPriority hands the whole
+// budget to the slices (decode still runs, it just stops constraining
+// them). A sequence starved of budget for starvationIters consecutive
+// steps gets a forced slice — at most one per step (contended in
+// admission order), which keeps the step's prefill tokens under
+// budget + chunkTokens while still bounding every sequence's wait no
+// matter how busy decode keeps the step.
+bool
+ContinuousEngine::planStep()
 {
-    const ResiliencePolicy &rp = cfg_.resilience;
-    obs::Tracer *tr = simTracer(cfg_);
-    const std::uint32_t lane = cfg_.traceLane;
-    const ChunkedPrefillPolicy &cp = cfg_.chunkedPrefill;
-    const SpecDecodePolicy &sp = cfg_.specDecode;
-    // The default budget always fits one full slice beside a full
-    // decode batch, so no legal configuration can deadlock.
-    const unsigned budget =
-        cp.stepTokenBudget ? cp.stepTokenBudget
-                           : cp.chunkTokens + cfg_.maxBatch;
-
-    // Decoding sequences need a token's worth of KV room (a spec
-    // cycle's worth when speculation is on — widths fixed before
-    // growth); growth may preempt from the tail (possibly a
-    // prefilling sequence), so partition phases only afterwards.
+    StepPlan &p = plan_;
+    p.mixed = chunked_ &&
+              std::any_of(active_.begin(), active_.end(),
+                          [](const ActiveSeq &a) {
+                              return a.prefillDone < a.prefillTarget;
+                          });
     if (spec_) {
         for (ActiveSeq &a : active_) {
             if (a.prefillDone < a.prefillTarget)
                 continue;
             const unsigned remaining = a.req->outLen - a.produced;
-            a.draftK = std::min(sp.draftTokens, remaining - 1);
+            a.draftK =
+                std::min(cfg_.specDecode.draftTokens, remaining - 1);
         }
     }
     if (pool_ && cfg_.kvMode == KvMode::Paged) {
-        growDecodingPaged();
+        growPaged();
         kvPeak_ = std::max(kvPeak_, pool_->utilization());
         if (active_.empty())
-            return; // whole batch preempted (pathological pool)
+            return false;
     }
 
-    std::vector<std::size_t> decoding, prefilling;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (active_[i].prefillDone < active_[i].prefillTarget)
-            prefilling.push_back(i);
-        else
-            decoding.push_back(i);
+    // Sums in locals: stores to the plan's fields could alias the
+    // sequence fields the loop reads, forcing reloads per sequence.
+    unsigned ndecode = 0;
+    double pos_sum = 0.0;
+    double k_sum = 0.0;
+    for (const ActiveSeq &a : active_) {
+        if (a.prefillDone < a.prefillTarget)
+            continue;
+        ++ndecode;
+        pos_sum += a.req->inLen + a.produced;
+        k_sum += a.draftK;
     }
-    const unsigned ndecode =
-        static_cast<unsigned>(decoding.size());
+    p.ndecode = ndecode;
+    p.avgPos = ndecode ? pos_sum / ndecode : 0.0;
+    p.meanK = ndecode ? k_sum / ndecode : 0.0;
 
-    // Plan the slices. DecodePriority reserves one budget token per
-    // decoding sequence before any slice is cut; PrefillPriority
-    // hands the whole budget to the slices. A sequence starved of
-    // budget for starvationIters consecutive iterations gets a
-    // forced slice — at most one forced slice per step (contended in
-    // admission order), which keeps the step's prefill tokens under
-    // budget + chunkTokens while still bounding every sequence's
-    // wait no matter how busy decode keeps the step.
+    p.slices.clear();
+    if (p.ndecode == active_.size())
+        return true;
+    const ChunkedPrefillPolicy &cp = cfg_.chunkedPrefill;
+    // The default budget always fits one full slice beside a full
+    // decode batch, so no legal configuration can deadlock.
+    const unsigned budget = cp.stepTokenBudget
+                                ? cp.stepTokenBudget
+                                : cp.chunkTokens + cfg_.maxBatch;
     unsigned rem = cp.mode == ChunkMode::DecodePriority
-                       ? (budget > ndecode ? budget - ndecode : 0)
+                       ? (budget > p.ndecode ? budget - p.ndecode : 0)
                        : budget;
-    struct Slice
-    {
-        std::size_t idx;
-        unsigned tokens;
-        bool forced;
-    };
-    std::vector<Slice> slices;
     bool forced_used = false;
-    for (std::size_t idx : prefilling) {
-        ActiveSeq &a = active_[idx];
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+        ActiveSeq &a = active_[i];
+        if (a.prefillDone >= a.prefillTarget)
+            continue;
         const unsigned remaining = a.prefillTarget - a.prefillDone;
         unsigned take =
             std::min(std::min(cp.chunkTokens, remaining), rem);
@@ -1268,65 +973,59 @@ ContinuousEngine::chunkedStep()
         }
         a.stallIters = 0;
         rem -= std::min(take, rem);
-        slices.push_back({idx, take, forced});
+        p.slices.push_back({i, take, forced});
     }
+    return true;
+}
 
-    // Price the fused step: decode first, then the slices in plan
-    // order, each laid out sequentially on the trace timeline. The
-    // first phase of the step streams the weights; everything after
-    // it is marginal.
-    const double step_t0 = clock_;
+// Price the planned step as one fused launch, each phase laid out
+// sequentially on the trace timeline. The decoders go first: a plain
+// decode step, or a speculative cycle — the draft model's k
+// sequential steps at draftCostRatio of the target's price, then one
+// fused verify that streams the weights and pays the per-step TEE tax
+// (MEE/EPC traffic, enclave transitions, launch encryption) once for
+// up to k+1 tokens. The slices follow in plan order. The first phase
+// streams the weights; every slice after it rides that stream and
+// pays only its marginal working set (its attention FLOPs, its
+// activations, the KV it writes, the prefix KV it re-reads) plus its
+// own per-op fixed costs.
+void
+ContinuousEngine::priceStep()
+{
+    const StepPlan &p = plan_;
+    obs::Tracer *tr = simTracer(cfg_);
+    const std::uint32_t lane = cfg_.traceLane;
+    const double n = p.ndecode;
     const double slow = inj_.enabled() ? inj_.slowdown(clock_) : 1.0;
     double t = clock_;
-    if (ndecode) {
-        double avg_pos = 0.0;
-        double mean_k = 0.0;
-        for (std::size_t idx : decoding) {
-            avg_pos += active_[idx].req->inLen +
-                       active_[idx].produced;
-            mean_k += active_[idx].draftK;
+    if (p.ndecode && spec_) {
+        const double draft_sec =
+            p.meanK > 0.0 ? cfg_.specDecode.draftCostRatio * p.meanK *
+                                step_->decodeStep(n, p.avgPos) * slow
+                          : 0.0;
+        const double verify_sec =
+            step_->verifyStep(n, p.meanK, p.avgPos) * slow;
+        const double verify_t0 = t + draft_sec;
+        t = p.mixed ? verify_t0 + verify_sec
+                    : t + (draft_sec + verify_sec);
+        if (tr) {
+            if (draft_sec > 0.0)
+                tr->complete(lane, "decode.draft", clock_, verify_t0,
+                             {{"batch", n}, {"draft_k", p.meanK}});
+            tr->complete(lane, "decode.verify", verify_t0, t,
+                         {{"batch", n},
+                          {"draft_k", p.meanK},
+                          {"avg_pos", p.avgPos}});
         }
-        avg_pos /= ndecode;
-        mean_k /= ndecode;
-        if (spec_) {
-            // Propose->verify cycle fused with the slices: the draft
-            // pass runs first, then the verify streams the weights
-            // that the co-scheduled slices ride on.
-            const double draft_sec =
-                mean_k > 0.0
-                    ? sp.draftCostRatio * mean_k *
-                          step_->decodeStep(ndecode, avg_pos) * slow
-                    : 0.0;
-            const double verify_sec =
-                step_->verifyStep(ndecode, mean_k, avg_pos) * slow;
-            if (tr && draft_sec > 0.0)
-                tr->complete(
-                    lane, "decode.draft", t, t + draft_sec,
-                    {{"batch", static_cast<double>(ndecode)},
-                     {"draft_k", mean_k}});
-            t += draft_sec;
-            if (tr)
-                tr->complete(
-                    lane, "decode.verify", t, t + verify_sec,
-                    {{"batch", static_cast<double>(ndecode)},
-                     {"draft_k", mean_k},
-                     {"avg_pos", avg_pos}});
-            t += verify_sec;
-        } else {
-            const double dec_sec =
-                step_->decodeStep(ndecode, avg_pos) * slow;
-            t += dec_sec;
-            if (tr)
-                tr->complete(
-                    lane, "decode", step_t0, t,
-                    {{"batch", static_cast<double>(ndecode)},
-                     {"avg_pos", avg_pos}});
-        }
+    } else if (p.ndecode) {
+        t += step_->decodeStep(n, p.avgPos) * slow;
+        if (tr)
+            tr->complete(lane, "decode", clock_, t,
+                         {{"batch", n}, {"avg_pos", p.avgPos}});
     }
-    bool shared = ndecode > 0;
-    std::uint64_t step_prefill_tokens = 0;
-    for (const Slice &s : slices) {
-        ActiveSeq &a = active_[s.idx];
+    bool shared = p.ndecode > 0;
+    for (const Slice &s : p.slices) {
+        const ActiveSeq &a = active_[s.idx];
         const double sec =
             step_->prefillChunk(a.prefillDone, s.tokens, shared) *
             slow;
@@ -1338,145 +1037,186 @@ ContinuousEngine::chunkedStep()
                  {"done", static_cast<double>(a.prefillDone)},
                  {"tokens", static_cast<double>(s.tokens)}});
         t += sec;
-        a.prefillDone += s.tokens;
-        step_prefill_tokens += s.tokens;
-        tally_.prefillTokensComputed += s.tokens;
-        ++tally_.chunkSlices;
-        tally_.chunkPrefillTokens += s.tokens;
-        chunkSliceCounter().inc();
-        chunkTokenCounter().add(s.tokens);
-        if (s.forced) {
-            ++tally_.starvationKicks;
-            starvationCounter().inc();
-        }
     }
     clock_ = t;
-    tally_.maxStepPrefillTokens =
-        std::max(tally_.maxStepPrefillTokens, step_prefill_tokens);
-    if (ndecode && !slices.empty()) {
-        ++tally_.mixedSteps;
-        mixedStepCounter().inc();
-    }
-    if (ndecode) {
+}
+
+// Apply the priced step. Each decoder emits its accepted draft prefix
+// plus one token (just the one token outside spec mode): the bonus
+// token when every draft survived, the rejection-resampled correction
+// otherwise. Rejected draft KV rolls back out of the paged pool so
+// reuse, forks and pins stay consistent. Pool trims and releases wait
+// until the walk is done, so a landing sequence's prefix insert sees
+// the pool exactly as the step left it.
+void
+ContinuousEngine::applyStep()
+{
+    const StepPlan &p = plan_;
+    const ResiliencePolicy &rp = cfg_.resilience;
+    obs::Tracer *tr = simTracer(cfg_);
+    const std::uint32_t lane = cfg_.traceLane;
+
+    if (p.ndecode) {
         ++tally_.decodeSteps;
         decodeStepCounter().inc();
         if (spec_) {
             ++tally_.specVerifySteps;
             specVerifyCounter().inc();
         }
+        if (!p.slices.empty()) {
+            ++tally_.mixedSteps;
+            mixedStepCounter().inc();
+        }
     }
     maxActive_ = std::max(maxActive_, active_.size());
     kvUtilSum_ += pool_ ? pool_->utilization() : 0.0;
     ++steps_;
 
-    // Sequences whose final slice landed become decoding next
-    // iteration; their first token completes with this step.
-    for (const Slice &s : slices) {
-        ActiveSeq &a = active_[s.idx];
-        if (a.prefillDone < a.prefillTarget)
-            continue;
-        Request *r = a.req;
-        if (r->firstToken < 0.0) {
-            r->firstToken = clock_;
-            a.lastEmit = clock_;
-        }
-        prefillCounter().inc();
-        if (prefix_ && !r->promptTokens.empty()) {
-            // The prompt's KV is fully computed only now — cache it.
-            prefix_->insert(r->tenant, r->promptTokens,
-                            pool_->blockTable(r->id), clock_);
-            syncPrefixTally();
-        }
-    }
-
-    // Token emission for decoding sequences, deadline checks for
-    // everyone (a prefilling sequence can blow its budget too).
-    // Deadlines are checked before emission: a token completing past
-    // the deadline is never delivered, and a timed-out victim's
-    // earlier emissions come back out of the occupancy sum so
-    // occupancySum == outputTokens holds in any restart-free run.
-    std::vector<char> was_decoding(active_.size(), 0);
-    for (std::size_t idx : decoding)
-        was_decoding[idx] = 1;
-    const bool paged = pool_ && cfg_.kvMode == KvMode::Paged;
-    std::uint64_t emitted_total = 0;
+    // Loop invariants in locals: each ITL sample stored through the
+    // vector could alias a member double, forcing reloads per token.
+    const double now = clock_;
+    const double timeout = rp.requestTimeout;
+    const bool spec = spec_;
+    const bool trim = spec && pool_ && cfg_.kvMode == KvMode::Paged;
+    std::uint64_t emitted = 0;
     std::uint64_t drafted = 0;
-    std::uint64_t accepted_total = 0;
-    std::uint64_t bonus_total = 0;
-    std::uint64_t reject_total = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t bonus = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t step_prefill_tokens = 0;
+    std::size_t next_slice = 0; // slices are in index order
+    kvOps_.clear();
     std::size_t i = 0;
     for (auto it = active_.begin(); it != active_.end(); ++i) {
-        if (rp.requestTimeout > 0.0 &&
-            clock_ - it->req->arrival > rp.requestTimeout) {
+        ActiveSeq &a = *it;
+        Request *r = a.req;
+        const bool decoding = a.prefillDone >= a.prefillTarget;
+        if (next_slice < p.slices.size() &&
+            p.slices[next_slice].idx == i) {
+            const Slice &s = p.slices[next_slice++];
+            a.prefillDone += s.tokens;
+            step_prefill_tokens += s.tokens;
+            tally_.prefillTokensComputed += s.tokens;
+            ++tally_.chunkSlices;
+            tally_.chunkPrefillTokens += s.tokens;
+            chunkSliceCounter().inc();
+            chunkTokenCounter().add(s.tokens);
+            if (s.forced) {
+                ++tally_.starvationKicks;
+                starvationCounter().inc();
+            }
+            // The final slice landed: the sequence decodes from the
+            // next step, its first token completes with this one, and
+            // only now is its prompt KV fully computed and worth
+            // caching.
+            if (a.prefillDone >= a.prefillTarget) {
+                if (r->firstToken < 0.0) {
+                    r->firstToken = now;
+                    a.lastEmit = now;
+                }
+                prefillCounter().inc();
+                if (prefix_ && !r->promptTokens.empty()) {
+                    prefix_->insert(r->tenant, r->promptTokens,
+                                    pool_->blockTable(r->id), now);
+                    syncPrefixTally();
+                }
+            }
+        }
+        // Deadline before emission, prefilling sequences included: a
+        // token completing past the deadline is never delivered, so
+        // it enters neither itlSamples nor the occupancy sum, and the
+        // victim's earlier emissions come back out of the sum — only
+        // completed requests bill tokens, and occupancySum ==
+        // outputTokens holds in any restart-free run.
+        if (timeout > 0.0 && now - r->arrival > timeout) {
             ++tally_.timedOut;
-            occupancySum_ -= static_cast<double>(it->produced);
+            occupancySum_ -= static_cast<double>(a.produced);
             if (pool_)
-                pool_->release(it->req->id);
+                kvOps_.push_back({r->id, 0});
             if (tr) {
-                tr->instant(
-                    lane, "timeout_decoding", clock_,
-                    {{"req", static_cast<double>(it->req->id)}});
-                tr->asyncEnd(lane, kReqCat, it->req->id, "timeout",
-                             clock_);
+                tr->instant(lane, "timeout_decoding", now,
+                            {{"req", static_cast<double>(r->id)}});
+                tr->asyncEnd(lane, kReqCat, r->id, "timeout", now);
             }
             it = active_.erase(it);
             continue;
         }
-        if (was_decoding[i]) {
+        if (decoding) {
             unsigned emit = 1;
-            if (spec_) {
-                // Same pure-function acceptance walk as specStep.
+            if (spec) {
+                // Longest accepted draft prefix: position produced+j
+                // is a pure function of (seed, id, j), replayable
+                // anywhere.
                 unsigned acc = 0;
-                while (acc < it->draftK &&
-                       specAccept(sp, it->req->id,
-                                  it->produced + acc))
+                while (acc < a.draftK &&
+                       specAccept(cfg_.specDecode, r->id,
+                                  a.produced + acc))
                     ++acc;
                 emit = acc + 1;
-                drafted += it->draftK;
-                accepted_total += acc;
-                tally_.specDraftTokens += it->draftK;
+                drafted += a.draftK;
+                accepted += acc;
+                tally_.specDraftTokens += a.draftK;
                 tally_.specAccepted += acc;
-                if (acc == it->draftK) {
+                // accepted + rejected + bonus counts every emitted
+                // token exactly once.
+                if (acc == a.draftK) {
                     ++tally_.specBonus;
-                    ++bonus_total;
+                    ++bonus;
                 } else {
                     ++tally_.specRejected;
-                    ++reject_total;
+                    ++rejected;
                 }
             }
-            const double gap = (clock_ - it->lastEmit) /
-                               static_cast<double>(emit);
-            for (unsigned j = 0; j < emit; ++j)
-                tally_.itlSamples.push_back(gap);
-            it->lastEmit = clock_;
-            it->produced += emit;
-            emitted_total += emit;
-            if (spec_ && paged &&
-                it->produced < it->req->outLen)
-                pool_->trimTokens(it->req->id,
-                                  it->req->inLen + it->produced);
-            if (it->produced >= it->req->outLen) {
-                it->req->finish = clock_;
-                finished_.push_back(it->req);
+            // Inter-token gap, measured client-side from the previous
+            // emission (wherever it happened — before a preemption,
+            // even before a restart). A cycle's tokens reach the
+            // client together; the gap is spread across them so ITL
+            // samples keep their per-token meaning.
+            const double since = now - a.lastEmit;
+            if (emit == 1)
+                tally_.itlSamples.push_back(since);
+            else
+                tally_.itlSamples.insert(tally_.itlSamples.end(), emit,
+                                         since / emit);
+            a.lastEmit = now;
+            a.produced += emit;
+            emitted += emit;
+            if (a.produced >= r->outLen) {
+                r->finish = now;
+                finished_.push_back(r);
                 if (pool_)
-                    pool_->release(it->req->id);
+                    kvOps_.push_back({r->id, 0});
                 if (tr)
-                    tr->asyncEnd(lane, kReqCat, it->req->id,
-                                 "complete", clock_);
+                    tr->asyncEnd(lane, kReqCat, r->id, "complete",
+                                 now);
                 it = active_.erase(it);
                 continue;
             }
+            // Roll rejected draft KV back (a no-op when every draft
+            // survived; reserved mode holds the full reservation).
+            if (trim)
+                kvOps_.push_back({r->id, r->inLen + a.produced});
         }
         ++it;
     }
-    occupancySum_ += static_cast<double>(emitted_total);
-    if (emitted_total)
-        tokenCounter().add(emitted_total);
-    if (spec_ && ndecode) {
-        specDraftCounter().add(drafted);
-        specAcceptCounter().add(accepted_total);
-        specRejectCounter().add(reject_total);
-        specBonusCounter().add(bonus_total);
+    tally_.maxStepPrefillTokens =
+        std::max(tally_.maxStepPrefillTokens, step_prefill_tokens);
+    for (const KvOp &op : kvOps_) {
+        if (op.keep)
+            pool_->trimTokens(op.id, op.keep);
+        else
+            pool_->release(op.id);
+    }
+
+    occupancySum_ += static_cast<double>(emitted);
+    if (p.ndecode) {
+        tokenCounter().add(emitted);
+        if (spec_) {
+            specDraftCounter().add(drafted);
+            specAcceptCounter().add(accepted);
+            specRejectCounter().add(rejected);
+            specBonusCounter().add(bonus);
+        }
     }
     if (pool_) {
         publishKvGauges();

@@ -28,7 +28,13 @@ namespace cllm::serve {
  * iteration. Construction validates the config the same way Server
  * does; `submit` enqueues a request for admission at `ready_at`;
  * `iterate` performs one loop iteration (restart handling, admission,
- * then either a time advance or one decode step).
+ * then either a time advance or one engine step).
+ *
+ * Every engine step — plain decode, a speculative propose->verify
+ * cycle, or a chunked mixed prefill/decode step — runs the same three
+ * stages: plan (draft widths, KV growth, decoder/prefiller split,
+ * prefill slices), price (StepModel calls and trace spans), apply
+ * (emission, acceptance, KV trim, completion, prefill landing).
  */
 class ContinuousEngine
 {
@@ -94,13 +100,19 @@ class ContinuousEngine
     double occupancySum() const { return occupancySum_; }
     std::size_t steps() const { return steps_; }
     double kvPeak() const { return kvPeak_; }
-    /** Mean KV occupancy sampled at every decode-step boundary. */
+    /**
+     * Mean KV occupancy sampled once per engine step (after KV
+     * growth), prefill-only chunk steps included.
+     */
     double kvUtilizationMean() const
     {
         return steps_ ? kvUtilSum_ / static_cast<double>(steps_)
                       : 0.0;
     }
-    /** Largest batch any single decode step ran with. */
+    /**
+     * Largest number of active sequences any engine step ran with,
+     * prefilling sequences in chunked steps included.
+     */
     std::size_t peakBatch() const { return maxActive_; }
     const std::vector<fault::FaultRecord> &timeline() const;
 
@@ -183,40 +195,70 @@ class ContinuousEngine
                  double last_emit = -1.0);
     double swapSeconds(unsigned tokens) const;
     void preemptActive(std::size_t idx);
-    void growActivePaged();
-    /** Like growActivePaged, but only decoding sequences append. */
-    void growDecodingPaged();
     /**
-     * One speculative propose->verify cycle for a pure decode batch:
-     * a draft model proposes up to `draftTokens` tokens per sequence,
-     * the target scores them all in a single fused verify step (paying
-     * the weight stream and the per-step TEE tax once), and every
-     * sequence emits its accepted draft prefix plus one token.
-     * Rejected draft KV is rolled back through the paged pool.
+     * Make KV room for this step's tokens: one per decoding sequence,
+     * plus its draft width in spec mode. Prefilling sequences already
+     * hold their whole resident context and are skipped.
      */
-    void specStep();
+    void growPaged();
+    /** Plan, price and apply one engine step. */
+    void step();
     /**
-     * One token-budgeted mixed prefill/decode step: every decoding
-     * sequence emits a token while prefilling sequences advance by at
-     * most one `chunkTokens` slice each, planned in admission order
-     * under the per-iteration budget. Only called when chunking is on
-     * and at least one active sequence is still prefilling.
+     * Decide the step's contents: draft widths, KV growth, which
+     * sequences decode, and the prefill slices under the token budget.
+     * False when growth preempted the whole batch.
      */
-    void chunkedStep();
+    bool planStep();
+    /** Price the planned step, lay out its trace spans, advance time. */
+    void priceStep();
+    /**
+     * Account the priced step and walk the batch once: slice progress
+     * and first-token marking for sequences whose last slice landed,
+     * deadlines, acceptance, emission, completion, rejected-draft trim.
+     */
+    void applyStep();
     void publishKvGauges() const;
+
+    /** One prefill slice of a step: `tokens` prompt tokens. */
+    struct Slice
+    {
+        std::size_t idx; //!< into active_
+        unsigned tokens;
+        bool forced; //!< granted by the starvation guard
+    };
+
+    /** A step's contents, rebuilt in place every step. */
+    struct StepPlan
+    {
+        // The step began with a sequence still prefilling (chunked
+        // mode). Its phases accumulate onto the clock one at a time;
+        // a pure speculative step adds draft + verify as one sum.
+        bool mixed = false;
+        unsigned ndecode = 0;
+        double avgPos = 0.0; //!< mean context depth of the decoders
+        double meanK = 0.0;  //!< mean draft width of the decoders
+        std::vector<Slice> slices;
+    };
+
+    /** A deferred pool update: trim to `keep` tokens, 0 = release. */
+    struct KvOp
+    {
+        mem::KvSeqId id;
+        unsigned keep;
+    };
 
     const StepModel *step_;
     ServerConfig cfg_;
     bool chunked_ = false;
     bool spec_ = false;
     fault::FaultInjector inj_;
-    std::optional<KvBlockPool> pool_;
+    std::optional<mem::PagedKvCache> pool_;
     std::optional<PrefixCache> prefix_;
 
     double clock_ = 0.0;
     double occupancySum_ = 0.0;
     double kvPeak_ = 0.0;
-    double kvUtilSum_ = 0.0; //!< KV occupancy at decode boundaries
+    double kvUtilSum_ = 0.0; //!< KV occupancy summed over steps
     std::size_t maxActive_ = 0;
     std::size_t steps_ = 0;
     ServeTally tally_{};
@@ -228,6 +270,9 @@ class ContinuousEngine
     bool inAdmission_ = false;
     double admitKvFactor_ = 1.0;
     unsigned admitMaxBatch_ = 0;
+
+    StepPlan plan_;
+    std::vector<KvOp> kvOps_;
 
     std::vector<ActiveSeq> active_;
     std::priority_queue<PendingReq, std::vector<PendingReq>,

@@ -25,9 +25,9 @@
 #include "llm/model_config.hh"
 #include "llm/perf_cpu.hh"
 #include "llm/perf_gpu.hh"
+#include "mem/kv_paged.hh"
 #include "tee/backend.hh"
 #include "tee/session.hh"
-#include "serve/kv_pool.hh"
 #include "util/stats.hh"
 
 namespace cllm::obs {
@@ -505,7 +505,7 @@ struct ServeMetrics
     std::size_t completed = 0;
     double makespan = 0.0;            //!< seconds to drain the trace
     double kvUtilizationPeak = 0.0;   //!< peak KV-pool occupancy
-    double kvUtilizationMean = 0.0;   //!< mean at decode-step bounds
+    double kvUtilizationMean = 0.0;   //!< mean over engine steps
     double peakBatchOccupancy = 0.0;  //!< max sequences in one step
     double tokensPerSecond = 0.0;     //!< output tokens / makespan
     SampleSummary ttft{};             //!< time to first token

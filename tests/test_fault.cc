@@ -161,11 +161,15 @@ TEST(FaultSchedule, EnablingOneProcessDoesNotPerturbOthers)
     FaultScheduleConfig both = only_restart;
     both.attestFail = {1.0 / 30.0, 2.0, 0.0};
 
+    // Named schedules: a range-for over generate(...).events() would
+    // iterate a vector owned by an already-destroyed temporary.
+    const FaultSchedule a = FaultSchedule::generate(only_restart);
+    const FaultSchedule b = FaultSchedule::generate(both);
     std::vector<double> restarts_a, restarts_b;
-    for (const auto &e : FaultSchedule::generate(only_restart).events())
+    for (const auto &e : a.events())
         if (e.kind == FaultKind::EnclaveRestart)
             restarts_a.push_back(e.time);
-    for (const auto &e : FaultSchedule::generate(both).events())
+    for (const auto &e : b.events())
         if (e.kind == FaultKind::EnclaveRestart)
             restarts_b.push_back(e.time);
     EXPECT_EQ(restarts_a, restarts_b);

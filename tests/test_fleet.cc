@@ -373,6 +373,21 @@ TEST(FleetMetricsJson, TimelineAndCostsAreCoherent)
               std::string::npos);
 }
 
+TEST(FleetMetricsJson, NodeMetricsStayValidAfterRun)
+{
+    // The engines point into the simulator's copy of the trace, which
+    // must outlive run(): per-node metrics read afterwards match the
+    // rollup's byte for byte (ASan flags a dangling trace).
+    FleetSimulator sim(mixedFleetConfig(),
+                       {faultyCpuTemplate(), cgpuH100Node()});
+    const FleetMetrics m = sim.run(burstyTrace());
+    ASSERT_EQ(sim.nodes().size(), m.nodes.size());
+    for (std::size_t i = 0; i < m.nodes.size(); ++i)
+        EXPECT_EQ(serveJson(sim.nodes()[i]->metrics()),
+                  serveJson(m.nodes[i].serve))
+            << "node " << i;
+}
+
 TEST(FleetChunked, AggregationSumsNodesAndGatesJsonKeys)
 {
     // A fault-free homogeneous TDX fleet with chunked prefill on:

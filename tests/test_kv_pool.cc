@@ -12,17 +12,17 @@
 #include <tuple>
 #include <vector>
 
-#include "serve/kv_pool.hh"
+#include "mem/kv_paged.hh"
 #include "util/rng.hh"
 
-using namespace cllm::serve;
+using namespace cllm;
 
 namespace {
 
-KvPoolConfig
+mem::PagedKvConfig
 smallPool(std::uint64_t blocks = 8, unsigned block_tokens = 4)
 {
-    KvPoolConfig cfg;
+    mem::PagedKvConfig cfg;
     cfg.totalBlocks = blocks;
     cfg.blockTokens = block_tokens;
     return cfg;
@@ -32,7 +32,7 @@ smallPool(std::uint64_t blocks = 8, unsigned block_tokens = 4)
 
 TEST(KvPool, AdmitsAndAccounts)
 {
-    KvBlockPool pool(smallPool());
+    mem::PagedKvCache pool(smallPool());
     ASSERT_TRUE(pool.addSequence(1, 6)); // needs ceil(6/4) = 2 blocks
     EXPECT_EQ(pool.blocksOf(1), 2u);
     EXPECT_EQ(pool.tokens(1), 6u);
@@ -42,7 +42,7 @@ TEST(KvPool, AdmitsAndAccounts)
 
 TEST(KvPool, AppendAllocatesOnBoundary)
 {
-    KvBlockPool pool(smallPool());
+    mem::PagedKvCache pool(smallPool());
     ASSERT_TRUE(pool.addSequence(1, 4)); // exactly one full block
     EXPECT_EQ(pool.blocksOf(1), 1u);
     ASSERT_TRUE(pool.appendToken(1)); // crosses into block 2
@@ -54,7 +54,7 @@ TEST(KvPool, AppendAllocatesOnBoundary)
 
 TEST(KvPool, RejectsWhenFull)
 {
-    KvBlockPool pool(smallPool(2, 4));
+    mem::PagedKvCache pool(smallPool(2, 4));
     ASSERT_TRUE(pool.addSequence(1, 8)); // both blocks
     EXPECT_FALSE(pool.addSequence(2, 1));
     EXPECT_FALSE(pool.appendToken(1)); // would need a third block
@@ -67,7 +67,7 @@ TEST(KvPool, RejectsWhenFull)
 
 TEST(KvPool, ReleaseReturnsBlocks)
 {
-    KvBlockPool pool(smallPool());
+    mem::PagedKvCache pool(smallPool());
     pool.addSequence(1, 8);
     pool.addSequence(2, 8);
     EXPECT_EQ(pool.freeBlocks(), 4u);
@@ -78,7 +78,7 @@ TEST(KvPool, ReleaseReturnsBlocks)
 
 TEST(KvPool, ForkSharesFullBlocks)
 {
-    KvBlockPool pool(smallPool(8, 4));
+    mem::PagedKvCache pool(smallPool(8, 4));
     pool.addSequence(1, 8); // two full blocks
     ASSERT_TRUE(pool.fork(1, 2));
     // No partial block: everything shared, no extra allocation.
@@ -88,7 +88,7 @@ TEST(KvPool, ForkSharesFullBlocks)
 
 TEST(KvPool, ForkCopiesPartialBlock)
 {
-    KvBlockPool pool(smallPool(8, 4));
+    mem::PagedKvCache pool(smallPool(8, 4));
     pool.addSequence(1, 6); // 1 full + 1 partial
     ASSERT_TRUE(pool.fork(1, 2));
     // Partial block duplicated: 3 blocks in use.
@@ -100,7 +100,7 @@ TEST(KvPool, CopyOnWriteOnSharedBoundary)
     // Fork on a full-block boundary shares everything; the next
     // append lands in a fresh block so beams never clobber each
     // other.
-    KvBlockPool pool(smallPool(8, 4));
+    mem::PagedKvCache pool(smallPool(8, 4));
     pool.addSequence(1, 4);
     ASSERT_TRUE(pool.fork(1, 2));
     EXPECT_EQ(pool.freeBlocks(), 7u); // one shared block
@@ -113,7 +113,7 @@ TEST(KvPool, CopyOnWriteOnSharedBoundary)
 
 TEST(KvPool, ReleaseOfForkKeepsParentIntact)
 {
-    KvBlockPool pool(smallPool(8, 4));
+    mem::PagedKvCache pool(smallPool(8, 4));
     pool.addSequence(1, 8);
     pool.fork(1, 2);
     pool.release(2);
@@ -125,7 +125,7 @@ TEST(KvPool, ReleaseOfForkKeepsParentIntact)
 
 TEST(KvPool, CanAdmitChecksWithoutAllocating)
 {
-    KvBlockPool pool(smallPool(4, 4));
+    mem::PagedKvCache pool(smallPool(4, 4));
     EXPECT_TRUE(pool.canAdmit(16));
     EXPECT_FALSE(pool.canAdmit(17));
     EXPECT_EQ(pool.freeBlocks(), 4u); // unchanged
@@ -133,15 +133,15 @@ TEST(KvPool, CanAdmitChecksWithoutAllocating)
 
 TEST(KvPool, ManySequencesChurn)
 {
-    KvBlockPool pool(smallPool(64, 8));
+    mem::PagedKvCache pool(smallPool(64, 8));
     for (int round = 0; round < 20; ++round) {
-        for (SeqId s = 0; s < 8; ++s)
+        for (mem::KvSeqId s = 0; s < 8; ++s)
             ASSERT_TRUE(pool.addSequence(round * 100 + s, 17));
-        for (SeqId s = 0; s < 8; ++s) {
+        for (mem::KvSeqId s = 0; s < 8; ++s) {
             for (int t = 0; t < 5; ++t)
                 ASSERT_TRUE(pool.appendToken(round * 100 + s));
         }
-        for (SeqId s = 0; s < 8; ++s)
+        for (mem::KvSeqId s = 0; s < 8; ++s)
             pool.release(round * 100 + s);
     }
     EXPECT_EQ(pool.freeBlocks(), 64u); // no leaks
@@ -150,7 +150,7 @@ TEST(KvPool, ManySequencesChurn)
 
 TEST(KvPoolDeath, ApiMisuseFatal)
 {
-    KvBlockPool pool(smallPool());
+    mem::PagedKvCache pool(smallPool());
     pool.addSequence(1, 4);
     EXPECT_DEATH(pool.addSequence(1, 4), "duplicate");
     EXPECT_DEATH(pool.appendToken(99), "unknown");
@@ -161,9 +161,9 @@ TEST(KvPoolDeath, ApiMisuseFatal)
 
 TEST(KvPoolDeath, DegenerateConfigFatal)
 {
-    KvPoolConfig cfg;
+    mem::PagedKvConfig cfg;
     cfg.totalBlocks = 0;
-    EXPECT_DEATH(KvBlockPool{cfg}, "degenerate");
+    EXPECT_DEATH(mem::PagedKvCache{cfg}, "degenerate");
 }
 
 // ---- Property sweeps over pool geometries -----------------------------
@@ -177,10 +177,10 @@ class KvPoolProperty
           std::tuple<std::uint64_t, unsigned, std::uint64_t>>
 {
   protected:
-    KvPoolConfig
+    mem::PagedKvConfig
     cfg() const
     {
-        KvPoolConfig c;
+        mem::PagedKvConfig c;
         c.totalBlocks = std::get<0>(GetParam());
         c.blockTokens = std::get<1>(GetParam());
         return c;
@@ -199,10 +199,10 @@ TEST_P(KvPoolProperty, ChurnNeverLeaksOrDoubleFrees)
     // the pool's refcount panic; a leak shows up as missing free
     // blocks once every survivor is released. Along the way, free
     // blocks can never exceed the pool size.
-    KvBlockPool pool(cfg());
+    mem::PagedKvCache pool(cfg());
     cllm::Rng rng(seed());
-    std::vector<SeqId> live;
-    SeqId next_id = 1;
+    std::vector<mem::KvSeqId> live;
+    mem::KvSeqId next_id = 1;
     for (int op = 0; op < 400; ++op) {
         const double dice = rng.uniform();
         if (dice < 0.4) {
@@ -212,10 +212,11 @@ TEST_P(KvPoolProperty, ChurnNeverLeaksOrDoubleFrees)
                 live.push_back(next_id);
             ++next_id;
         } else if (dice < 0.7 && !live.empty()) {
-            const SeqId id = live[rng.uniformInt(0, live.size() - 1)];
+            const mem::KvSeqId id =
+                live[rng.uniformInt(0, live.size() - 1)];
             pool.appendToken(id); // allowed to fail when full
         } else if (dice < 0.8 && !live.empty()) {
-            const SeqId parent =
+            const mem::KvSeqId parent =
                 live[rng.uniformInt(0, live.size() - 1)];
             if (pool.fork(parent, next_id))
                 live.push_back(next_id);
@@ -229,7 +230,7 @@ TEST_P(KvPoolProperty, ChurnNeverLeaksOrDoubleFrees)
         ASSERT_GE(pool.utilization(), 0.0);
         ASSERT_LE(pool.utilization(), 1.0);
     }
-    for (SeqId id : live)
+    for (mem::KvSeqId id : live)
         pool.release(id);
     EXPECT_EQ(pool.freeBlocks(), cfg().totalBlocks);
     EXPECT_EQ(pool.utilization(), 0.0);
@@ -239,11 +240,11 @@ TEST_P(KvPoolProperty, OccupancyMonotoneUnderAllocation)
 {
     // Admitting and growing sequences (no releases) can only raise
     // occupancy; peak utilization is non-decreasing.
-    KvBlockPool pool(cfg());
+    mem::PagedKvCache pool(cfg());
     cllm::Rng rng(seed());
     double peak = 0.0;
-    std::vector<SeqId> live;
-    SeqId id = 1;
+    std::vector<mem::KvSeqId> live;
+    mem::KvSeqId id = 1;
     for (int op = 0; op < 200; ++op) {
         const double before = pool.utilization();
         if (rng.chance(0.5) || live.empty()) {
@@ -271,10 +272,10 @@ TEST_P(KvPoolProperty, AdmissionReservationCoversFullContext)
     // loop relies on: a successful reservation owns enough block
     // capacity for every future token, so decode can never fail on KV
     // exhaustion mid-request.
-    KvBlockPool pool(cfg());
+    mem::PagedKvCache pool(cfg());
     cllm::Rng rng(seed());
-    std::vector<SeqId> live;
-    SeqId id = 1;
+    std::vector<mem::KvSeqId> live;
+    mem::KvSeqId id = 1;
     for (int trial = 0; trial < 100; ++trial) {
         const auto in_len = static_cast<unsigned>(
             rng.uniformInt(1, 4 * cfg().blockTokens));

@@ -494,6 +494,64 @@ kvGridModel()
         llm::llama2_7b(), p);
 }
 
+/** The engine grids' seeded trace: ~2 chunk slices per prompt. */
+std::vector<serve::Request>
+engineGridTrace(unsigned seed)
+{
+    serve::WorkloadConfig load;
+    load.arrivalRate = 1.0;
+    load.numRequests = 40;
+    load.meanInLen = 96;
+    load.meanOutLen = 160;
+    load.seed = seed;
+    return serve::generateWorkload(load);
+}
+
+serve::ServerConfig
+engineGridConfig(serve::KvMode mode, std::uint64_t blocks,
+                 serve::ChunkMode chunk)
+{
+    serve::ServerConfig cfg;
+    cfg.policy = serve::BatchPolicy::Continuous;
+    cfg.maxBatch = 16;
+    cfg.kvBlocks = blocks;
+    cfg.kvBlockTokens = 16;
+    cfg.kvMode = mode;
+    cfg.paged.kvBytesPerToken = 1.0; // unused by Recompute
+    cfg.chunkedPrefill.mode = chunk;
+    cfg.chunkedPrefill.chunkTokens = 48;
+    return cfg;
+}
+
+/**
+ * Drive an engine to quiescence from outside, asserting the closure
+ * laws after every iteration instead of only at the end of the run.
+ * The grids run without deadlines or restarts, so every emitted token
+ * is still billed: one ITL sample per token, and in spec mode every
+ * token is exactly one of accepted, rejected-correction or bonus.
+ */
+void
+iterateCheckingClosure(serve::ContinuousEngine &eng)
+{
+    for (std::size_t iter = 1; !eng.idle(); ++iter) {
+        eng.iterate();
+        const serve::ServeTally &t = eng.tally();
+        ASSERT_EQ(static_cast<double>(t.itlSamples.size()),
+                  eng.occupancySum())
+            << "iteration " << iter;
+        if (t.specEnabled) {
+            ASSERT_EQ(static_cast<double>(t.specAccepted +
+                                          t.specRejected + t.specBonus),
+                      eng.occupancySum())
+                << "iteration " << iter;
+        }
+        ASSERT_LE(eng.kvUsedBlocks(), eng.kvTotalBlocks())
+            << "iteration " << iter;
+        ASSERT_LE(eng.prefixPinnedBlocks(), eng.kvUsedBlocks())
+            << "iteration " << iter;
+    }
+}
+
 } // namespace
 
 // For every (discipline x pool size x trace): request accounting
@@ -503,27 +561,10 @@ kvGridModel()
 TEST_P(KvEngineGrid, AccountingClosesAndTokensAreEmittedOnce)
 {
     const auto [mode, blocks, seed, chunk] = GetParam();
-
-    serve::WorkloadConfig load;
-    load.arrivalRate = 1.0;
-    load.numRequests = 40;
-    load.meanInLen = 96;
-    load.meanOutLen = 160;
-    load.seed = seed;
-    auto trace = serve::generateWorkload(load);
-
-    serve::ServerConfig cfg;
-    cfg.policy = serve::BatchPolicy::Continuous;
-    cfg.maxBatch = 16;
-    cfg.kvBlocks = blocks;
-    cfg.kvBlockTokens = 16;
-    cfg.kvMode = mode;
-    cfg.paged.kvBytesPerToken = 1.0; // unused by Recompute
-    cfg.chunkedPrefill.mode = chunk;
-    cfg.chunkedPrefill.chunkTokens = 48; // ~2 slices per prompt
-
+    auto trace = engineGridTrace(seed);
     auto step = kvGridModel();
-    serve::ContinuousEngine eng(*step, cfg);
+    serve::ContinuousEngine eng(*step,
+                                engineGridConfig(mode, blocks, chunk));
     for (auto &r : trace)
         eng.submit(&r, r.arrival);
     while (!eng.idle())
@@ -573,6 +614,18 @@ TEST_P(KvEngineGrid, AccountingClosesAndTokensAreEmittedOnce)
     EXPECT_EQ(eng.kvUsedBlocks(), 0u);
 }
 
+TEST_P(KvEngineGrid, ClosureHoldsAfterEveryIteration)
+{
+    const auto [mode, blocks, seed, chunk] = GetParam();
+    auto trace = engineGridTrace(seed);
+    auto step = kvGridModel();
+    serve::ContinuousEngine eng(*step,
+                                engineGridConfig(mode, blocks, chunk));
+    for (auto &r : trace)
+        eng.submit(&r, r.arrival);
+    iterateCheckingClosure(eng);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ModesAndPools, KvEngineGrid,
     ::testing::Combine(
@@ -595,13 +648,6 @@ INSTANTIATE_TEST_SUITE_P(
 // request set with identical per-request output token counts.
 TEST(KvEngineEquivalence, ReservedPagedChunkedServeTheSameSet)
 {
-    serve::WorkloadConfig load;
-    load.arrivalRate = 1.0;
-    load.numRequests = 40;
-    load.meanInLen = 96;
-    load.meanOutLen = 160;
-    load.seed = 13;
-
     struct Variant
     {
         serve::KvMode kv;
@@ -617,19 +663,10 @@ TEST(KvEngineEquivalence, ReservedPagedChunkedServeTheSameSet)
 
     std::vector<std::vector<serve::Request>> traces;
     for (const Variant &v : variants) {
-        serve::ServerConfig cfg;
-        cfg.policy = serve::BatchPolicy::Continuous;
-        cfg.maxBatch = 16;
-        cfg.kvBlocks = 4096;
-        cfg.kvBlockTokens = 16;
-        cfg.kvMode = v.kv;
-        cfg.paged.kvBytesPerToken = 1.0;
-        cfg.chunkedPrefill.mode = v.chunk;
-        cfg.chunkedPrefill.chunkTokens = 48;
-
-        auto trace = serve::generateWorkload(load);
+        auto trace = engineGridTrace(13);
         auto step = kvGridModel();
-        serve::ContinuousEngine eng(*step, cfg);
+        serve::ContinuousEngine eng(
+            *step, engineGridConfig(v.kv, 4096, v.chunk));
         for (auto &r : trace)
             eng.submit(&r, r.arrival);
         while (!eng.idle())
@@ -668,31 +705,16 @@ TEST_P(SpecEngineGrid, CompletionSetInvariantAcrossDraftDepths)
 {
     const auto [mode, chunk, seed] = GetParam();
 
-    serve::WorkloadConfig load;
-    load.arrivalRate = 1.0;
-    load.numRequests = 40;
-    load.meanInLen = 96;
-    load.meanOutLen = 160;
-    load.seed = seed;
-
     std::vector<std::vector<serve::Request>> traces;
     std::vector<serve::ServeTally> tallies;
     for (unsigned k : {0u, 2u, 4u}) {
-        serve::ServerConfig cfg;
-        cfg.policy = serve::BatchPolicy::Continuous;
-        cfg.maxBatch = 16;
-        cfg.kvBlocks = 4096;
-        cfg.kvBlockTokens = 16;
-        cfg.kvMode = mode;
-        cfg.paged.kvBytesPerToken = 1.0;
-        cfg.chunkedPrefill.mode = chunk;
-        cfg.chunkedPrefill.chunkTokens = 48;
+        serve::ServerConfig cfg = engineGridConfig(mode, 4096, chunk);
         if (k) {
             cfg.specDecode.enabled = true;
             cfg.specDecode.draftTokens = k;
         }
 
-        auto trace = serve::generateWorkload(load);
+        auto trace = engineGridTrace(seed);
         auto step = kvGridModel();
         serve::ContinuousEngine eng(*step, cfg);
         for (auto &r : trace)
@@ -723,6 +745,36 @@ TEST_P(SpecEngineGrid, CompletionSetInvariantAcrossDraftDepths)
             << "variant " << v;
         EXPECT_LT(t.decodeSteps, tallies.front().decodeSteps)
             << "variant " << v;
+    }
+}
+
+// The same laws mid-run, with the paged cases also caching shared
+// prompt prefixes so the pin bound has pins to bound.
+TEST_P(SpecEngineGrid, ClosureHoldsAfterEveryIteration)
+{
+    const auto [mode, chunk, seed] = GetParam();
+    for (unsigned k : {0u, 2u, 4u}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        serve::ServerConfig cfg = engineGridConfig(mode, 4096, chunk);
+        auto trace = engineGridTrace(seed);
+        if (mode == serve::KvMode::Paged) {
+            cfg.prefixMode = serve::PrefixMode::Global;
+            serve::SharedPrefixMix mix;
+            mix.prefixLen = 64;
+            serve::applySharedPrefixMix(trace, mix);
+        }
+        if (k) {
+            cfg.specDecode.enabled = true;
+            cfg.specDecode.draftTokens = k;
+        }
+        auto step = kvGridModel();
+        serve::ContinuousEngine eng(*step, cfg);
+        for (auto &r : trace)
+            eng.submit(&r, r.arrival);
+        ASSERT_NO_FATAL_FAILURE(iterateCheckingClosure(eng));
+        if (mode == serve::KvMode::Paged) {
+            EXPECT_GT(eng.tally().prefixHits, 0u);
+        }
     }
 }
 

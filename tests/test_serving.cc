@@ -334,6 +334,15 @@ TEST(ServerDeath, ZeroBatchFatal)
                  "batch");
 }
 
+TEST(ServerDeath, ZeroOutputLengthFatal)
+{
+    Request r;
+    r.inLen = 64;
+    r.outLen = 0;
+    Server server(cpuModel(tee::makeBareMetal()), ServerConfig{});
+    EXPECT_DEATH(server.run({r}), "zero output length");
+}
+
 TEST(ServerKv, ConstrainedPoolLimitsOccupancy)
 {
     WorkloadConfig w = lightLoad();

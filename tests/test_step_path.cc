@@ -17,7 +17,8 @@
  * a reordered trace span; these hashes do not. Expectations live in
  * `tests/golden/step_path.txt`; CLLM_REGEN_GOLDEN=1 rewrites it.
  *
- * A second test checks the lazy-registration rule in a fresh process:
+ * Two more tests check that every case exercises the path it is named
+ * for, and, in a fresh process per case, the lazy-registration rule:
  * a run with a feature off never registers that feature's counters.
  */
 
@@ -25,7 +26,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
