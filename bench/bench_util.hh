@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "obs/metrics.hh"
 #include "par/pool.hh"
 #include "serve/serving.hh"
+#include "util/config.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -186,6 +188,22 @@ parseModeArg(const char *flag, Mode (*parse)(const std::string &),
 }
 
 /**
+ * The operand of the numeric flag at argv[i] (advancing `i` past it),
+ * parsed strictly as a T in [lo, hi]: junk, trailing characters and
+ * out-of-range values are fatal.
+ */
+template <typename T>
+inline T
+numericArg(int argc, char **argv, int &i, T lo,
+           T hi = std::numeric_limits<T>::max())
+{
+    const char *flag = argv[i];
+    if (i + 1 >= argc)
+        cllm_fatal(flag, " needs a value");
+    return parseNumber<T>(flag, argv[++i], lo, hi);
+}
+
+/**
  * Consume `--kv <reserved|paged>` at argv[i]; false otherwise. The
  * flag is strictly additive: without it the binaries run reserved and
  * their stdout stays byte-identical.
@@ -238,28 +256,15 @@ parsePrefixArg(PrefixOptions &opt, int argc, char **argv, int &i)
                      argc, argv, i, "off|per_tenant|global"))
         return true;
     if (std::strcmp(argv[i], "--prefix-tenants") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--prefix-tenants needs a count");
-        opt.mix.tenants =
-            static_cast<unsigned>(std::stoul(argv[++i]));
-        if (opt.mix.tenants == 0)
-            cllm_fatal("--prefix-tenants must be positive");
+        opt.mix.tenants = numericArg(argc, argv, i, 1u);
         return true;
     }
     if (std::strcmp(argv[i], "--prefix-len") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--prefix-len needs a token count");
-        opt.mix.prefixLen =
-            static_cast<unsigned>(std::stoul(argv[++i]));
+        opt.mix.prefixLen = numericArg(argc, argv, i, 0u);
         return true;
     }
     if (std::strcmp(argv[i], "--prefix-share") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--prefix-share needs a fraction");
-        opt.mix.sharedFraction = std::stod(argv[++i]);
-        if (opt.mix.sharedFraction < 0.0 ||
-            opt.mix.sharedFraction > 1.0)
-            cllm_fatal("--prefix-share outside [0, 1]");
+        opt.mix.sharedFraction = numericArg(argc, argv, i, 0.0, 1.0);
         return true;
     }
     return false;
@@ -317,19 +322,11 @@ parseChunkArg(ChunkOptions &opt, int argc, char **argv, int &i)
                      argc, argv, i, "off|decode|prefill"))
         return true;
     if (std::strcmp(argv[i], "--chunk-tokens") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--chunk-tokens needs a token count");
-        opt.chunkTokens =
-            static_cast<unsigned>(std::stoul(argv[++i]));
-        if (opt.chunkTokens == 0)
-            cllm_fatal("--chunk-tokens must be positive");
+        opt.chunkTokens = numericArg(argc, argv, i, 1u);
         return true;
     }
     if (std::strcmp(argv[i], "--chunk-budget") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--chunk-budget needs a token count");
-        opt.stepTokenBudget =
-            static_cast<unsigned>(std::stoul(argv[++i]));
+        opt.stepTokenBudget = numericArg(argc, argv, i, 0u);
         return true;
     }
     return false;
@@ -388,28 +385,17 @@ parseSpecArg(SpecOptions &opt, int argc, char **argv, int &i)
         return true;
     }
     if (std::strcmp(argv[i], "--spec-k") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--spec-k needs a token count");
-        opt.draftTokens =
-            static_cast<unsigned>(std::stoul(argv[++i]));
-        if (opt.draftTokens == 0)
-            cllm_fatal("--spec-k must be positive");
+        opt.draftTokens = numericArg(argc, argv, i, 1u);
         return true;
     }
     if (std::strcmp(argv[i], "--spec-ratio") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--spec-ratio needs a fraction");
-        opt.draftCostRatio = std::stod(argv[++i]);
-        if (opt.draftCostRatio <= 0.0 || opt.draftCostRatio >= 1.0)
+        opt.draftCostRatio = numericArg(argc, argv, i, 0.0, 1.0);
+        if (opt.draftCostRatio == 0.0 || opt.draftCostRatio == 1.0)
             cllm_fatal("--spec-ratio outside (0, 1)");
         return true;
     }
     if (std::strcmp(argv[i], "--spec-accept") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--spec-accept needs a probability");
-        opt.acceptProb = std::stod(argv[++i]);
-        if (opt.acceptProb < 0.0 || opt.acceptProb > 1.0)
-            cllm_fatal("--spec-accept outside [0, 1]");
+        opt.acceptProb = numericArg(argc, argv, i, 0.0, 1.0);
         return true;
     }
     return false;

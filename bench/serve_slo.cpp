@@ -755,7 +755,8 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--faults") == 0) {
             fault_mode = true;
             if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                fault_seed = std::strtoull(argv[++i], nullptr, 10);
+                fault_seed = parseNumber<std::uint64_t>("--faults",
+                                                        argv[++i]);
             continue;
         }
         if (std::strcmp(argv[i], "--kv-sweep") == 0) {

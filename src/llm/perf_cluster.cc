@@ -1,12 +1,6 @@
 #include "llm/perf_cluster.hh"
 
-#include <algorithm>
-#include <cmath>
-
-#include "tee/backend.hh"
 #include "util/logging.hh"
-#include "util/rng.hh"
-#include "util/stats.hh"
 
 namespace cllm::llm {
 
@@ -50,13 +44,6 @@ GpuClusterPerfModel::run(const hw::GpuSpec &gpu, const ModelConfig &model,
     }
 
     const double tp = params.gpus;
-    const tee::GpuTax tax =
-        params.confidential ? tee::cgpuTax(gpu) : tee::GpuTax{};
-    const double launch_s =
-        gpu.kernelLaunchUs * 1e-6 + tax.launchExtraSec;
-    const double rate = gpu.peakOps(params.dtype) * cfg_.computeEff;
-    const double bw = gpu.hbmBwBytes * cfg_.memEff * tax.hbmBwFactor;
-
     const double link_bw = linkBandwidth(params);
     double link_lat = (params.confidential ? link_.hostRoutedLatencyUs
                                            : link_.rawLatencyUs) *
@@ -78,62 +65,15 @@ GpuClusterPerfModel::run(const hw::GpuSpec &gpu, const ModelConfig &model,
         return 2.0 * model.layers * per_layer;
     };
 
-    TimingResult result;
-    const double weight_bytes = model.weightBytes(params.dtype) / tp;
+    const GpuStepKernel kernel(gpu, params.confidential, model,
+                               params.dtype, params.gpus, cfg_);
+    TimingResult result =
+        runGpuKernel(kernel, params.batch, params.inLen, params.outLen,
+                     params.seed, comm_seconds);
     result.workingSetBytes =
-        weight_bytes + params.batch *
-                           model.kvBytesPerToken(params.dtype) *
-                           (params.inLen + params.outLen) / tp;
-
-    // ---- Prefill -----------------------------------------------------
-    {
-        const double s = params.inLen;
-        const double flops =
-            params.batch *
-            (2.0 * static_cast<double>(model.matmulParams()) * s +
-             2.0 * model.layers * model.hidden * s * s) /
-            tp;
-        const double bytes =
-            weight_bytes + params.batch *
-                               model.kvBytesPerToken(params.dtype) *
-                               s / tp;
-        result.prefillSeconds =
-            std::max(flops / rate, bytes / bw) +
-            cfg_.launchesPerStep * launch_s +
-            comm_seconds(params.batch * s);
-    }
-
-    // ---- Decode ------------------------------------------------------
-    Rng rng(params.seed);
-    double decode_total = 0.0;
-    for (unsigned step = 0; step < params.outLen; ++step) {
-        const double pos = params.inLen + step;
-        const double flops =
-            params.batch *
-            (2.0 * static_cast<double>(model.matmulParams()) +
-             4.0 * model.layers * model.hidden * pos) /
-            tp;
-        const double bytes =
-            weight_bytes + params.batch *
-                               model.kvBytesPerToken(params.dtype) *
-                               (pos + 1.0) / tp;
-        const double t_comp = flops / rate;
-        const double t_mem = bytes / bw;
-        double t = std::max(t_comp, t_mem) +
-                   cfg_.overlapBeta * std::min(t_comp, t_mem) +
-                   cfg_.launchesPerStep * launch_s +
-                   comm_seconds(params.batch);
-        t *= rng.lognormal(1.0, tax.noiseSigma);
-        result.tokenLatencies.push_back(t);
-        decode_total += t;
-    }
-
-    const SampleSummary lat = summarize(result.tokenLatencies, 3.0);
-    result.meanTokenLatency = lat.mean;
-    result.decodeTput = params.batch / lat.mean;
-    result.totalSeconds = result.prefillSeconds + decode_total;
-    result.e2eTput = params.batch * params.outLen / result.totalSeconds;
-    result.memoryBound = true;
+        model.weightBytes(params.dtype) / tp +
+        params.batch * model.kvBytesPerToken(params.dtype) *
+            (params.inLen + params.outLen) / tp;
     return result;
 }
 

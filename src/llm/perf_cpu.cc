@@ -15,13 +15,6 @@ CpuPerfModel::CpuPerfModel(CpuPerfConfig cfg) : cfg_(cfg) {}
 
 namespace {
 
-/** Roofline with partial overlap of the shorter leg. */
-double
-rooflineTime(double t_comp, double t_mem, double beta)
-{
-    return std::max(t_comp, t_mem) + beta * std::min(t_comp, t_mem);
-}
-
 /** Weight bytes per parameter for a run. */
 double
 weightBytesPerParam(const RunParams &p)
@@ -109,6 +102,7 @@ CpuPerfModel::rates(const hw::CpuSpec &cpu, const tee::TeeBackend &backend,
         static_cast<std::uint64_t>(weight_bytes + kv_total);
     req.sncEnabled = params.sncEnabled;
     r.tax = backend.tax(cpu, req);
+    r.workingSetBytes = weight_bytes + kv_total;
 
     const double context_depth = std::min(1.0, final_ctx / 4096.0);
     r.bw = effectiveBandwidth(cpu, r.tax, params,
@@ -126,114 +120,91 @@ CpuPerfModel::rates(const hw::CpuSpec &cpu, const tee::TeeBackend &backend,
     return r;
 }
 
-double
-CpuPerfModel::decodeStepSeconds(const DeploymentRates &r,
-                                const ModelConfig &model,
-                                const RunParams &params, double nseq,
-                                double pos) const
+CpuStepKernel
+CpuPerfModel::kernel(const hw::CpuSpec &cpu,
+                     const tee::TeeBackend &backend,
+                     const ModelConfig &model,
+                     const RunParams &params) const
 {
-    const StepTotals tot =
-            stepTotals(model, params.dtype, pos, nseq);
-    const double flops = nseq * tot.flopsPerSeq;
+    return CpuStepKernel(rates(cpu, backend, model, params), model,
+                         params.dtype, cfg_.overlapBeta);
+}
+
+CpuStepKernel::CpuStepKernel(const DeploymentRates &rates,
+                             const ModelConfig &model, hw::Dtype dtype,
+                             double overlap_beta)
+    : r_(rates), model_(model), dtype_(dtype), overlap_(overlap_beta)
+{
+}
+
+StepCost
+CpuStepKernel::decode(double seqs, double width, double depth) const
+{
+    const StepTotals tot = stepTotals(model_, dtype_, depth, seqs);
+    const double flops = seqs * tot.flopsPerSeq * width;
+    // Weights once per pass; activations and KV per scored position.
     const double weight_traffic =
         tot.weightBytes *
-        (r.weightBytesPerParam / hw::dtypeBytes(params.dtype));
+        (r_.weightBytesPerParam / hw::dtypeBytes(dtype_));
     const double bytes =
         weight_traffic +
-        nseq * (tot.actBytesPerSeq * r.actFactor + tot.kvBytesPerSeq);
-    const double t_comp = flops / r.decodeRate;
-    const double t_mem = bytes / r.bw + bytes * r.tax.extraSecPerByte;
-    const double op_factor =
-        params.dtype == hw::Dtype::Int8 ? 1.25 : 1.0;
-    return rooflineTime(t_comp, t_mem, cfg_.overlapBeta) +
-           tot.opCount * op_factor * r.tax.perOpFixedSec +
-           r.tax.perTokenFixedSec;
+        seqs * width *
+            (tot.actBytesPerSeq * r_.actFactor + tot.kvBytesPerSeq);
+    // Weight-only int8 inserts explicit dequantization kernels on the
+    // hot path, inflating the per-step operator count.
+    const double op_factor = dtype_ == hw::Dtype::Int8 ? 1.25 : 1.0;
+    StepCost c;
+    c.compute = flops / r_.decodeRate;
+    c.memory = bytes / r_.bw + bytes * r_.tax.extraSecPerByte;
+    c.fixed = tot.opCount * op_factor * r_.tax.perOpFixedSec;
+    c.boundary = r_.tax.perTokenFixedSec;
+    c.overlap = overlap_;
+    return c;
 }
 
-double
-CpuPerfModel::verifyStepSeconds(const DeploymentRates &r,
-                                const ModelConfig &model,
-                                const RunParams &params, double nseq,
-                                double k, double pos) const
-{
-    // k+1 positions scored per sequence; attention at the mean depth.
-    const double width = k + 1.0;
-    const StepTotals tot =
-        stepTotals(model, params.dtype, pos + k / 2.0, nseq);
-    const double flops = nseq * tot.flopsPerSeq * width;
-    const double weight_traffic =
-        tot.weightBytes *
-        (r.weightBytesPerParam / hw::dtypeBytes(params.dtype));
-    // Weights once per step; activations and KV per scored position.
-    const double bytes =
-        weight_traffic +
-        nseq * width *
-            (tot.actBytesPerSeq * r.actFactor + tot.kvBytesPerSeq);
-    const double t_comp = flops / r.decodeRate;
-    const double t_mem = bytes / r.bw + bytes * r.tax.extraSecPerByte;
-    const double op_factor =
-        params.dtype == hw::Dtype::Int8 ? 1.25 : 1.0;
-    // Fixed costs once per step — the amortized TEE tax.
-    return rooflineTime(t_comp, t_mem, cfg_.overlapBeta) +
-           tot.opCount * op_factor * r.tax.perOpFixedSec +
-           r.tax.perTokenFixedSec;
-}
-
-double
-CpuPerfModel::prefillSeconds(const DeploymentRates &r,
-                             const ModelConfig &model,
-                             const RunParams &params,
-                             unsigned in_len) const
-{
-    const double s = in_len;
-    const double flops =
-        2.0 * static_cast<double>(model.matmulParams()) * s +
-        2.0 * model.layers * model.hidden * s * s;
-    const double weight_bytes =
-        static_cast<double>(model.numParams()) * r.weightBytesPerParam;
-    const double kv_write = model.kvBytesPerToken(params.dtype) * s;
-    const StepTotals tot = stepTotals(model, params.dtype, s / 2.0);
-    const double bytes = weight_bytes +
-                         tot.actBytesPerSeq * s * r.actFactor * 0.25 +
-                         kv_write;
-    const double t_comp = flops / r.prefillRate;
-    const double t_mem = bytes / r.bw + bytes * r.tax.extraSecPerByte;
-    return rooflineTime(t_comp, t_mem, cfg_.overlapBeta) +
-           tot.opCount * r.tax.perOpFixedSec + r.tax.perTokenFixedSec;
-}
-
-double
-CpuPerfModel::prefillChunkSeconds(const DeploymentRates &r,
-                                  const ModelConfig &model,
-                                  const RunParams &params,
-                                  unsigned done, unsigned chunk,
-                                  bool shared) const
+StepCost
+CpuStepKernel::prefill(unsigned prompts, unsigned done, unsigned chunk,
+                       bool weights_streamed) const
 {
     const double s = chunk;
     const double t0 = done;
     const double t1 = t0 + s;
-    // The quadratic attention term telescopes: summed over a prompt's
-    // slices it reproduces prefillSeconds' 2*L*H*s^2 exactly, so
-    // chunking never hides FLOPs — it only bounds how many hit one
-    // step.
+    // Matmul FLOPs for the slice plus its share of the quadratic
+    // attention term.
     const double flops =
-        2.0 * static_cast<double>(model.matmulParams()) * s +
-        2.0 * model.layers * model.hidden * (t1 * t1 - t0 * t0);
+        prompts *
+        (2.0 * static_cast<double>(model_.matmulParams()) * s +
+         2.0 * model_.layers * model_.hidden * (t1 * t1 - t0 * t0));
     const double weight_bytes =
-        static_cast<double>(model.numParams()) * r.weightBytesPerParam;
-    const double kv_write = model.kvBytesPerToken(params.dtype) * s;
-    const double kv_read = model.kvBytesPerToken(params.dtype) * t0;
-    const StepTotals tot =
-        stepTotals(model, params.dtype, t0 + s / 2.0);
-    const double bytes = (shared ? 0.0 : weight_bytes) +
-                         tot.actBytesPerSeq * s * r.actFactor * 0.25 +
-                         kv_write + kv_read;
-    const double t_comp = flops / r.prefillRate;
-    const double t_mem = bytes / r.bw + bytes * r.tax.extraSecPerByte;
-    return rooflineTime(t_comp, t_mem, cfg_.overlapBeta) +
-           tot.opCount * r.tax.perOpFixedSec + r.tax.perTokenFixedSec;
+        static_cast<double>(model_.numParams()) * r_.weightBytesPerParam;
+    const double kv_write = prompts * model_.kvBytesPerToken(dtype_) * s;
+    const double kv_read = prompts * model_.kvBytesPerToken(dtype_) * t0;
+    const StepTotals tot = stepTotals(model_, dtype_, t0 + s / 2.0);
+    const double bytes =
+        (weights_streamed ? 0.0 : weight_bytes) +
+        prompts * tot.actBytesPerSeq * s * r_.actFactor * 0.25 +
+        kv_write + kv_read;
+    StepCost c;
+    c.compute = flops / r_.prefillRate;
+    c.memory = bytes / r_.bw + bytes * r_.tax.extraSecPerByte;
+    c.fixed = tot.opCount * r_.tax.perOpFixedSec;
+    c.boundary = prompts * r_.tax.perTokenFixedSec;
+    c.overlap = overlap_;
+    return c;
 }
 
+void
+summarizeRun(TimingResult &result, unsigned batch, unsigned out_len)
+{
+    double decode_total = 0.0;
+    for (double t : result.tokenLatencies)
+        decode_total += t;
+    const SampleSummary lat = summarize(result.tokenLatencies, 3.0);
+    result.meanTokenLatency = lat.mean;
+    result.decodeTput = batch / lat.mean;
+    result.totalSeconds = result.prefillSeconds + decode_total;
+    result.e2eTput = batch * out_len / result.totalSeconds;
+}
 
 TimingResult
 CpuPerfModel::run(const hw::CpuSpec &cpu, const tee::TeeBackend &backend,
@@ -250,134 +221,46 @@ CpuPerfModel::run(const hw::CpuSpec &cpu, const tee::TeeBackend &backend,
     if (cores > cpu.totalCores())
         cllm_fatal("run: ", cores, " cores exceed machine capacity");
 
-    const bool amx = params.amx && params.framework.supportsAmx;
+    const CpuStepKernel k = kernel(cpu, backend, model, params);
+    const DeploymentRates &r = k.rates();
     const double nseq = params.sequences();
-    const double wbpp = weightBytesPerParam(params);
-
-    // Working set: weights + full KV at final length + activations.
-    const double weight_bytes =
-        static_cast<double>(model.numParams()) * wbpp;
-    const double final_ctx = params.inLen + params.outLen;
-    const double kv_total = nseq * model.kvBytesPerToken(params.dtype) *
-                            final_ctx;
-    const double act_factor = params.framework.actTrafficFactor *
-                              (amx ? 1.0 : cfg_.noAmxActFactor);
-
-    tee::TeeRequest req;
-    req.sockets = params.sockets;
-    req.workingSetBytes =
-        static_cast<std::uint64_t>(weight_bytes + kv_total);
-    req.sncEnabled = params.sncEnabled;
-    const tee::ExecTax tax = backend.tax(cpu, req);
-
-    // Scattered-access share of traffic grows with how deep each
-    // sequence's KV context is (page-granular gathers over long
-    // contexts), not with how many sequences there are: batching
-    // APPENDS contiguous KV, longer contexts SCATTER reads.
-    const double context_depth = std::min(1.0, final_ctx / 4096.0);
-    const double bw = effectiveBandwidth(
-        cpu, tax, params, weight_bytes + kv_total, context_depth);
-
-    // Weight-only int8 inserts explicit dequantization kernels on the
-    // hot path, inflating the per-step operator count.
-    const double op_factor =
-        params.dtype == hw::Dtype::Int8 ? 1.25 : 1.0;
-
-    const double peak = cpu.peakOps(params.dtype, amx, cores);
-    const double decode_rate =
-        peak * params.framework.effectiveComputeEff(params.dtype) *
-        tax.computeFactor;
-    const double prefill_rate =
-        peak * params.framework.prefillEff * tax.computeFactor;
 
     TimingResult result;
-    result.workingSetBytes = weight_bytes + kv_total;
+    result.workingSetBytes = r.workingSetBytes;
+    result.prefillSeconds =
+        k.prefill(params.batch, 0, params.inLen, false).seconds();
 
-    // ---- Prefill ----------------------------------------------------
-    {
-        const double s = params.inLen;
-        // Matmul FLOPs for all prompt tokens plus quadratic attention.
-        const double flops =
-            params.batch *
-            (2.0 * static_cast<double>(model.matmulParams()) * s +
-             2.0 * model.layers * model.hidden * s * s);
-        const double kv_write =
-            params.batch * model.kvBytesPerToken(params.dtype) * s;
-        const StepTotals tot = stepTotals(model, params.dtype, s / 2.0);
-        const double bytes = weight_bytes +
-                             params.batch * tot.actBytesPerSeq * s *
-                                 act_factor * 0.25 +
-                             kv_write;
-        const double t_comp = flops / prefill_rate;
-        const double t_mem = bytes / bw + bytes * tax.extraSecPerByte;
-        result.prefillSeconds =
-            rooflineTime(t_comp, t_mem, cfg_.overlapBeta) +
-            tot.opCount * tax.perOpFixedSec +
-            params.batch * tax.perTokenFixedSec;
-    }
-
-    // ---- Decode loop -------------------------------------------------
     Rng rng(params.seed);
-    double decode_total = 0.0;
-    double last_tc = 0.0, last_tm = 0.0;
+    StepCost last;
     for (unsigned step = 0; step < params.outLen; ++step) {
-        const double pos = params.inLen + step;
-        const StepTotals tot =
-            stepTotals(model, params.dtype, pos, nseq);
-        const double flops = nseq * tot.flopsPerSeq;
-        // Weights are batch-shared; KV and activations are per-seq.
-        const double weight_traffic =
-            tot.weightBytes * (wbpp / hw::dtypeBytes(params.dtype));
-        const double bytes = weight_traffic +
-                             nseq * (tot.actBytesPerSeq * act_factor +
-                                     tot.kvBytesPerSeq);
-        const double t_comp = flops / decode_rate;
-        const double t_mem = bytes / bw + bytes * tax.extraSecPerByte;
-        double t = rooflineTime(t_comp, t_mem, cfg_.overlapBeta) +
-                   tot.opCount * op_factor * tax.perOpFixedSec +
-                   tax.perTokenFixedSec;
-        last_tc = t_comp;
-        last_tm = t_mem;
-
+        last = k.decode(nseq, 1.0, params.inLen + step);
+        double t = last.seconds();
         // Per-token jitter and encryption-stall outliers.
-        t *= rng.lognormal(1.0, tax.noiseSigma);
-        if (tax.outlierProb > 0.0 && rng.chance(tax.outlierProb))
-            t *= tax.outlierScale;
-
+        t *= rng.lognormal(1.0, r.tax.noiseSigma);
+        if (r.tax.outlierProb > 0.0 && rng.chance(r.tax.outlierProb))
+            t *= r.tax.outlierScale;
         result.tokenLatencies.push_back(t);
-        decode_total += t;
     }
-    result.memoryBound = last_tm > last_tc;
-
-    const SampleSummary lat = summarize(result.tokenLatencies, 3.0);
-    result.meanTokenLatency = lat.mean;
-    result.decodeTput = params.batch / lat.mean;
-    result.totalSeconds = result.prefillSeconds + decode_total;
-    result.e2eTput =
-        params.batch * params.outLen / result.totalSeconds;
+    result.memoryBound = last.memoryBound();
+    summarizeRun(result, params.batch, params.outLen);
 
     // ---- Per-op attribution for one block (Figure 7) -----------------
-    {
-        const double pos = params.inLen + params.outLen / 2.0;
-        for (const auto &op :
-             blockDecodeOps(model, params.dtype, pos, nseq)) {
-            const double flops = nseq * op.flopsPerSeq;
-            const double bytes =
-                op.weightBytes * (wbpp / hw::dtypeBytes(params.dtype)) +
-                nseq * (op.actBytesPerSeq * act_factor +
-                        op.kvBytesPerSeq);
-            const double t_comp = flops / decode_rate;
-            const double t_mem = bytes / bw + bytes * tax.extraSecPerByte;
-            OpTiming ot;
-            ot.name = opName(op.kind);
-            ot.seconds = rooflineTime(t_comp, t_mem, cfg_.overlapBeta) +
-                         tax.perOpFixedSec;
-            ot.flops = flops;
-            ot.bytes = bytes;
-            result.blockBreakdown.push_back(std::move(ot));
-        }
+    const double pos = params.inLen + params.outLen / 2.0;
+    const double weight_scale =
+        r.weightBytesPerParam / hw::dtypeBytes(params.dtype);
+    for (const auto &op : blockDecodeOps(model, params.dtype, pos, nseq)) {
+        const double flops = nseq * op.flopsPerSeq;
+        const double bytes =
+            op.weightBytes * weight_scale +
+            nseq * (op.actBytesPerSeq * r.actFactor + op.kvBytesPerSeq);
+        StepCost c;
+        c.compute = flops / r.decodeRate;
+        c.memory = bytes / r.bw + bytes * r.tax.extraSecPerByte;
+        c.fixed = r.tax.perOpFixedSec;
+        c.overlap = cfg_.overlapBeta;
+        result.blockBreakdown.push_back(
+            OpTiming{opName(op.kind), c.seconds(), flops, bytes});
     }
-
     return result;
 }
 

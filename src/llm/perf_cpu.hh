@@ -14,6 +14,7 @@
 #ifndef CLLM_LLM_PERF_CPU_HH
 #define CLLM_LLM_PERF_CPU_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -74,6 +75,42 @@ struct TimingResult
     bool memoryBound = true;
 };
 
+/**
+ * Fill a run's summary fields (mean latency after Z>3 filtering,
+ * decode and end-to-end throughput, total time) from its
+ * prefillSeconds and tokenLatencies.
+ */
+void summarizeRun(TimingResult &result, unsigned batch,
+                  unsigned out_len);
+
+/**
+ * One priced pass through the model: the two roofline legs and the
+ * costs serialized after them. Every backend's kernel returns one and
+ * every caller turns it into seconds through the same tail.
+ */
+struct StepCost
+{
+    double compute = 0.0;  //!< seconds at the compute roof
+    double memory = 0.0;   //!< seconds at the memory roof (+ byte tax)
+    double fixed = 0.0;    //!< per-operator or per-launch fixed seconds
+    /** Per-pass TEE-boundary seconds: enclave transitions on a CPU,
+     *  host-link (bounce-buffer) transfer on a GPU. */
+    double boundary = 0.0;
+    /** Fraction of the shorter leg the pass fails to hide. */
+    double overlap = 0.0;
+
+    /** The roofline tail: longer leg, unhidden share of the shorter,
+     *  then the fixed and boundary costs. */
+    double
+    seconds() const
+    {
+        return std::max(compute, memory) +
+               overlap * std::min(compute, memory) + fixed + boundary;
+    }
+
+    bool memoryBound() const { return memory > compute; }
+};
+
 /** Global knobs of the CPU timing model. */
 struct CpuPerfConfig
 {
@@ -87,11 +124,7 @@ struct CpuPerfConfig
     double noAmxActFactor = 1.6;
 };
 
-/**
- * Precomputed per-deployment rates, for callers that price individual
- * prefill/decode steps instead of whole runs (e.g. the serving
- * simulator in src/serve).
- */
+/** Precomputed per-deployment rates the CPU step kernel prices with. */
 struct DeploymentRates
 {
     double bw = 0.0;            //!< effective DRAM bytes/s
@@ -99,7 +132,55 @@ struct DeploymentRates
     double prefillRate = 0.0;   //!< effective prefill FLOP/s
     double actFactor = 1.0;     //!< activation-traffic multiplier
     double weightBytesPerParam = 2.0;
+    double workingSetBytes = 0.0; //!< weights + KV at final context
     tee::ExecTax tax{};         //!< environment taxes
+};
+
+/**
+ * The CPU pricing kernel: one deployment's rates bound to a model.
+ * Whole runs (CpuPerfModel::run) and the serving simulator's steps
+ * (serve::makeCpuStepModel) both price through its two entry points.
+ */
+class CpuStepKernel
+{
+  public:
+    CpuStepKernel(const DeploymentRates &rates, const ModelConfig &model,
+                  hw::Dtype dtype, double overlap_beta);
+
+    /**
+     * One decode or fused speculative-verify pass: `seqs` sequences,
+     * each scoring `width` positions (k drafts + 1) at mean attention
+     * depth `depth`. Matmul FLOPs and activation/KV traffic scale with
+     * the width, but the weight stream crosses the encrypted memory
+     * path ONCE and the per-op / per-step fixed costs — enclave
+     * transitions, the MEE/EPC tax — are paid once per pass, not per
+     * token. That asymmetry is the amortization speculative decoding
+     * buys inside a TEE; width 1 is a plain decode step.
+     */
+    StepCost decode(double seqs, double width, double depth) const;
+
+    /**
+     * One prefill slice: `chunk` tokens of each of `prompts` prompts
+     * whose leading `done` tokens already sit in KV. It pays its own
+     * attention FLOPs (the quadratic term over [done, done+chunk)),
+     * its activations, the KV it writes plus the prefix KV it re-reads
+     * — and the weights unless `weights_streamed` (a decode batch or a
+     * preceding slice in the same step already streamed them through
+     * the encrypted memory path). Per-op fixed costs are paid in full
+     * by every slice. Summed over a prompt's slices the attention
+     * term telescopes to the whole prompt's, so chunking never hides
+     * FLOPs — it only bounds how many hit one step.
+     */
+    StepCost prefill(unsigned prompts, unsigned done, unsigned chunk,
+                     bool weights_streamed) const;
+
+    const DeploymentRates &rates() const { return r_; }
+
+  private:
+    DeploymentRates r_;
+    ModelConfig model_;
+    hw::Dtype dtype_;
+    double overlap_;
 };
 
 /**
@@ -134,53 +215,11 @@ class CpuPerfModel
                           const ModelConfig &model,
                           const RunParams &params) const;
 
-    /** Seconds for one decode step of `nseq` sequences at `pos`. */
-    double decodeStepSeconds(const DeploymentRates &r,
-                             const ModelConfig &model,
-                             const RunParams &params, double nseq,
-                             double pos) const;
-
-    /** Seconds to prefill one request of `in_len` prompt tokens. */
-    double prefillSeconds(const DeploymentRates &r,
-                          const ModelConfig &model,
-                          const RunParams &params,
-                          unsigned in_len) const;
-
-    /**
-     * Seconds to prefill a `chunk`-token slice of a prompt whose
-     * leading `done` tokens already sit in KV, priced on the slice's
-     * marginal working set: its own attention FLOPs (the quadratic
-     * term over [done, done+chunk)), its activations, the KV it
-     * writes plus the prefix KV it re-reads — and the weights only
-     * when `shared` is false. A step shared with a decode batch (or a
-     * preceding slice) already streamed the weights through the
-     * encrypted memory path once, so a rider slice skips that byte
-     * tax; per-op fixed costs are paid in full by every slice.
-     * Identity: prefillChunkSeconds(r, m, p, 0, n, false) ==
-     * prefillSeconds(r, m, p, n).
-     */
-    double prefillChunkSeconds(const DeploymentRates &r,
-                               const ModelConfig &model,
-                               const RunParams &params, unsigned done,
-                               unsigned chunk, bool shared) const;
-
-    /**
-     * Seconds for one fused speculative-verify step: `nseq` sequences
-     * at mean context `pos`, each scoring `k` draft tokens plus the
-     * bonus position in a single target pass. Matmul FLOPs and
-     * activation/KV traffic scale with the k+1 scored positions
-     * (attention priced at the mean depth pos + k/2), but the weight
-     * stream crosses the encrypted memory path ONCE and the per-op /
-     * per-step fixed costs — enclave transitions, the MEE/EPC tax —
-     * are paid once per step, not per token. That asymmetry is the
-     * amortization speculative decoding buys inside a TEE. Identity:
-     * verifyStepSeconds(r, m, p, n, 0, pos) ==
-     * decodeStepSeconds(r, m, p, n, pos).
-     */
-    double verifyStepSeconds(const DeploymentRates &r,
-                             const ModelConfig &model,
-                             const RunParams &params, double nseq,
-                             double k, double pos) const;
+    /** The pricing kernel of a deployment (see rates()). */
+    CpuStepKernel kernel(const hw::CpuSpec &cpu,
+                         const tee::TeeBackend &backend,
+                         const ModelConfig &model,
+                         const RunParams &params) const;
 
     const CpuPerfConfig &config() const { return cfg_; }
 

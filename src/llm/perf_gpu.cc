@@ -1,13 +1,87 @@
 #include "llm/perf_gpu.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/stats.hh"
 
 namespace cllm::llm {
+
+GpuStepKernel::GpuStepKernel(const hw::GpuSpec &gpu, bool confidential,
+                             const ModelConfig &model, hw::Dtype dtype,
+                             unsigned shards, const GpuPerfConfig &cfg)
+    : tax_(confidential ? tee::cgpuTax(gpu) : tee::GpuTax{}),
+      shards_(shards), rate_(gpu.peakOps(dtype) * cfg.computeEff),
+      bw_(gpu.hbmBwBytes * cfg.memEff * tax_.hbmBwFactor),
+      launches_(cfg.launchesPerStep *
+                (gpu.kernelLaunchUs * 1e-6 + tax_.launchExtraSec)),
+      hostBw_(tax_.hostLinkBwBytes > 0.0 ? tax_.hostLinkBwBytes
+                                         : gpu.pcieBwBytes),
+      hostBytesPerToken_(cfg.hostBytesPerToken),
+      weightBytes_(model.weightBytes(dtype)),
+      kvBytesPerToken_(model.kvBytesPerToken(dtype)),
+      matmulParams_(static_cast<double>(model.matmulParams())),
+      layers_(model.layers), hidden_(model.hidden)
+{
+}
+
+StepCost
+GpuStepKernel::decode(double seqs, double width, double depth) const
+{
+    const double flops = seqs * width *
+                         (2.0 * matmulParams_ +
+                          4.0 * layers_ * hidden_ * depth);
+    const double bytes =
+        weightBytes_ + seqs * kvBytesPerToken_ * width * (depth + 1.0);
+    StepCost c;
+    c.compute = flops / shards_ / rate_;
+    c.memory = bytes / shards_ / bw_;
+    c.fixed = launches_;
+    c.boundary = seqs * width * hostBytesPerToken_ / hostBw_;
+    return c;
+}
+
+StepCost
+GpuStepKernel::prefill(unsigned prompts, unsigned done, unsigned chunk,
+                       bool weights_streamed) const
+{
+    const double s = chunk;
+    const double t0 = done;
+    const double t1 = t0 + s;
+    const double flops =
+        prompts * (2.0 * matmulParams_ * s +
+                   2.0 * layers_ * hidden_ * (t1 * t1 - t0 * t0));
+    const double bytes = (weights_streamed ? 0.0 : weightBytes_) +
+                         prompts * kvBytesPerToken_ * (s + t0);
+    StepCost c;
+    c.compute = flops / shards_ / rate_;
+    c.memory = bytes / shards_ / bw_;
+    c.fixed = launches_;
+    // Prompt upload crosses the (possibly encrypted) host link.
+    c.boundary = prompts * s * 4.0 / hostBw_;
+    return c;
+}
+
+TimingResult
+runGpuKernel(const GpuStepKernel &kernel, unsigned batch,
+             unsigned in_len, unsigned out_len, std::uint64_t seed,
+             const std::function<double(double)> &comm)
+{
+    TimingResult result;
+    result.prefillSeconds =
+        kernel.prefill(batch, 0, in_len, false).seconds() +
+        comm(static_cast<double>(batch) * in_len);
+
+    Rng rng(seed);
+    StepCost last;
+    for (unsigned step = 0; step < out_len; ++step) {
+        last = kernel.decode(batch, 1.0, in_len + step);
+        const double t = (last.seconds() + comm(batch)) *
+                         rng.lognormal(1.0, kernel.tax().noiseSigma);
+        result.tokenLatencies.push_back(t);
+    }
+    result.memoryBound = last.memoryBound();
+    summarizeRun(result, batch, out_len);
+    return result;
+}
 
 GpuPerfModel::GpuPerfModel(GpuPerfConfig cfg) : cfg_(cfg) {}
 
@@ -30,76 +104,12 @@ GpuPerfModel::run(const hw::GpuSpec &gpu, const ModelConfig &model,
                    " GB");
     }
 
-    const tee::GpuTax tax =
-        params.confidential ? tee::cgpuTax(gpu) : tee::GpuTax{};
-    const double launch_s =
-        gpu.kernelLaunchUs * 1e-6 + tax.launchExtraSec;
-    const double host_bw = params.confidential && tax.hostLinkBwBytes > 0
-                               ? tax.hostLinkBwBytes
-                               : gpu.pcieBwBytes;
-
-    const double rate = gpu.peakOps(params.dtype) * cfg_.computeEff;
-    const double bw = gpu.hbmBwBytes * cfg_.memEff * tax.hbmBwFactor;
-
-    TimingResult result;
+    const GpuStepKernel kernel(gpu, params.confidential, model,
+                               params.dtype, 1, cfg_);
+    TimingResult result =
+        runGpuKernel(kernel, params.batch, params.inLen, params.outLen,
+                     params.seed, [](double) { return 0.0; });
     result.workingSetBytes = weight_bytes + kv_total;
-
-    // ---- Prefill -----------------------------------------------------
-    {
-        const double s = params.inLen;
-        const double flops =
-            params.batch *
-            (2.0 * static_cast<double>(model.matmulParams()) * s +
-             2.0 * model.layers * model.hidden * s * s);
-        const double bytes =
-            weight_bytes +
-            params.batch * model.kvBytesPerToken(params.dtype) * s;
-        const double t_comp = flops / rate;
-        const double t_mem = bytes / bw;
-        // Prompt upload crosses the (possibly encrypted) host link.
-        const double host_bytes = params.batch * s * 4.0;
-        result.prefillSeconds =
-            std::max(t_comp, t_mem) +
-            cfg_.overlapBeta * std::min(t_comp, t_mem) +
-            cfg_.launchesPerStep * launch_s + host_bytes / host_bw;
-    }
-
-    // ---- Decode ------------------------------------------------------
-    Rng rng(params.seed);
-    double decode_total = 0.0;
-    double last_tc = 0.0, last_tm = 0.0;
-    for (unsigned step = 0; step < params.outLen; ++step) {
-        const double pos = params.inLen + step;
-        const double flops =
-            params.batch *
-            (2.0 * static_cast<double>(model.matmulParams()) +
-             4.0 * model.layers * model.hidden * pos);
-        const double bytes =
-            weight_bytes + params.batch *
-                               model.kvBytesPerToken(params.dtype) *
-                               (pos + 1.0);
-        const double t_comp = flops / rate;
-        const double t_mem = bytes / bw;
-        const double host_bytes =
-            params.batch * cfg_.hostBytesPerToken;
-        double t = std::max(t_comp, t_mem) +
-                   cfg_.overlapBeta * std::min(t_comp, t_mem) +
-                   cfg_.launchesPerStep * launch_s +
-                   host_bytes / host_bw;
-        last_tc = t_comp;
-        last_tm = t_mem;
-
-        t *= rng.lognormal(1.0, tax.noiseSigma);
-        result.tokenLatencies.push_back(t);
-        decode_total += t;
-    }
-    result.memoryBound = last_tm > last_tc;
-
-    const SampleSummary lat = summarize(result.tokenLatencies, 3.0);
-    result.meanTokenLatency = lat.mean;
-    result.decodeTput = params.batch / lat.mean;
-    result.totalSeconds = result.prefillSeconds + decode_total;
-    result.e2eTput = params.batch * params.outLen / result.totalSeconds;
     return result;
 }
 

@@ -233,190 +233,43 @@ applySharedPrefixMix(std::vector<Request> &trace,
 
 namespace {
 
-/** CPU-backed step model. */
-class CpuStepModel : public StepModel
+/**
+ * Serving adapter over one backend's pricing kernel: every StepModel
+ * virtual is one call into the kernel's decode or prefill entry point.
+ */
+template <typename Kernel>
+class KernelStepModel : public StepModel
 {
   public:
-    CpuStepModel(const hw::CpuSpec &cpu,
-                 std::shared_ptr<const tee::TeeBackend> backend,
-                 const llm::ModelConfig &model,
-                 const llm::RunParams &params)
-        : cpu_(cpu), backend_(std::move(backend)), model_(model),
-          params_(params)
-    {
-        rates_ = perf_.rates(cpu_, *backend_, model_, params_);
-    }
+    explicit KernelStepModel(Kernel kernel) : k_(std::move(kernel)) {}
 
     double
     prefill(unsigned in_len) const override
     {
-        return perf_.prefillSeconds(rates_, model_, params_, in_len);
+        return k_.prefill(1, 0, in_len, false).seconds();
     }
 
     double
     decodeStep(double nseq, double avg_pos) const override
     {
-        return perf_.decodeStepSeconds(rates_, model_, params_, nseq,
-                                       avg_pos);
+        return k_.decode(nseq, 1.0, avg_pos).seconds();
     }
 
     double
     prefillChunk(unsigned done, unsigned chunk,
                  bool shared) const override
     {
-        return perf_.prefillChunkSeconds(rates_, model_, params_,
-                                         done, chunk, shared);
+        return k_.prefill(1, done, chunk, shared).seconds();
     }
 
     double
     verifyStep(double nseq, double k, double avg_pos) const override
     {
-        return perf_.verifyStepSeconds(rates_, model_, params_, nseq,
-                                       k, avg_pos);
+        return k_.decode(nseq, k + 1.0, avg_pos + k / 2.0).seconds();
     }
 
   private:
-    hw::CpuSpec cpu_;
-    std::shared_ptr<const tee::TeeBackend> backend_;
-    llm::ModelConfig model_;
-    llm::RunParams params_;
-    llm::CpuPerfModel perf_;
-    llm::DeploymentRates rates_;
-};
-
-/** GPU-backed step model. */
-class GpuStepModel : public StepModel
-{
-  public:
-    GpuStepModel(const hw::GpuSpec &gpu, bool confidential,
-                 const llm::ModelConfig &model, hw::Dtype dtype)
-        : gpu_(gpu), model_(model), dtype_(dtype)
-    {
-        tax_ = confidential ? tee::cgpuTax(gpu) : tee::GpuTax{};
-    }
-
-    double
-    prefill(unsigned in_len) const override
-    {
-        const double s = in_len;
-        const llm::GpuPerfConfig &cfg = perf_.config();
-        const double flops =
-            2.0 * static_cast<double>(model_.matmulParams()) * s +
-            2.0 * model_.layers * model_.hidden * s * s;
-        const double rate =
-            gpu_.peakOps(dtype_) * cfg.computeEff;
-        const double bytes = model_.weightBytes(dtype_) +
-                             model_.kvBytesPerToken(dtype_) * s;
-        const double bw =
-            gpu_.hbmBwBytes * cfg.memEff * tax_.hbmBwFactor;
-        const double launch =
-            gpu_.kernelLaunchUs * 1e-6 + tax_.launchExtraSec;
-        const double host_bw = tax_.hostLinkBwBytes > 0.0
-                                   ? tax_.hostLinkBwBytes
-                                   : gpu_.pcieBwBytes;
-        return std::max(flops / rate, bytes / bw) +
-               cfg.launchesPerStep * launch + s * 4.0 / host_bw;
-    }
-
-    double
-    decodeStep(double nseq, double avg_pos) const override
-    {
-        const llm::GpuPerfConfig &cfg = perf_.config();
-        const double flops =
-            nseq *
-            (2.0 * static_cast<double>(model_.matmulParams()) +
-             4.0 * model_.layers * model_.hidden * avg_pos);
-        const double bytes =
-            model_.weightBytes(dtype_) +
-            nseq * model_.kvBytesPerToken(dtype_) * (avg_pos + 1.0);
-        const double rate = gpu_.peakOps(dtype_) * cfg.computeEff;
-        const double bw =
-            gpu_.hbmBwBytes * cfg.memEff * tax_.hbmBwFactor;
-        const double launch =
-            gpu_.kernelLaunchUs * 1e-6 + tax_.launchExtraSec;
-        const double host_bw = tax_.hostLinkBwBytes > 0.0
-                                   ? tax_.hostLinkBwBytes
-                                   : gpu_.pcieBwBytes;
-        return std::max(flops / rate, bytes / bw) +
-               cfg.launchesPerStep * launch +
-               nseq * cfg.hostBytesPerToken / host_bw;
-    }
-
-    double
-    prefillChunk(unsigned done, unsigned chunk,
-                 bool shared) const override
-    {
-        // Marginal working set of one slice: its own attention FLOPs
-        // (the s^2 term over [done, done+chunk)), the KV it writes
-        // plus the prefix KV it re-reads — and the weights only when
-        // the slice runs alone. A shared step already streamed the
-        // weights through the CC bounce buffer for the co-scheduled
-        // work, so the slice rides along; the per-launch encryption
-        // cost, however, is paid in full by every slice, which is
-        // exactly the unamortized overhead that makes tiny chunks
-        // expensive on a confidential GPU.
-        const double s = chunk;
-        const double t1 = static_cast<double>(done) + s;
-        const double t0 = done;
-        const llm::GpuPerfConfig &cfg = perf_.config();
-        const double flops =
-            2.0 * static_cast<double>(model_.matmulParams()) * s +
-            2.0 * model_.layers * model_.hidden * (t1 * t1 - t0 * t0);
-        const double rate = gpu_.peakOps(dtype_) * cfg.computeEff;
-        const double bytes =
-            (shared ? 0.0 : model_.weightBytes(dtype_)) +
-            model_.kvBytesPerToken(dtype_) * (s + t0);
-        const double bw =
-            gpu_.hbmBwBytes * cfg.memEff * tax_.hbmBwFactor;
-        const double launch =
-            gpu_.kernelLaunchUs * 1e-6 + tax_.launchExtraSec;
-        const double host_bw = tax_.hostLinkBwBytes > 0.0
-                                   ? tax_.hostLinkBwBytes
-                                   : gpu_.pcieBwBytes;
-        return std::max(flops / rate, bytes / bw) +
-               cfg.launchesPerStep * launch + s * 4.0 / host_bw;
-    }
-
-    double
-    verifyStep(double nseq, double k, double avg_pos) const override
-    {
-        // One fused pass scores k+1 positions per sequence: matmul
-        // FLOPs and attention scale with the width (attention at the
-        // mean depth), KV is read once per scored position, but the
-        // weight stream and — decisively for CC mode — the per-step
-        // kernel launches with their encryption overhead happen once.
-        // Host-link bounce-buffer traffic is per emitted token, so it
-        // scales with the width. k = 0 reduces to decodeStep exactly.
-        const double width = k + 1.0;
-        const double mid = avg_pos + k / 2.0;
-        const llm::GpuPerfConfig &cfg = perf_.config();
-        const double flops =
-            nseq * width *
-            (2.0 * static_cast<double>(model_.matmulParams()) +
-             4.0 * model_.layers * model_.hidden * mid);
-        const double bytes =
-            model_.weightBytes(dtype_) +
-            nseq * model_.kvBytesPerToken(dtype_) * width *
-                (mid + 1.0);
-        const double rate = gpu_.peakOps(dtype_) * cfg.computeEff;
-        const double bw =
-            gpu_.hbmBwBytes * cfg.memEff * tax_.hbmBwFactor;
-        const double launch =
-            gpu_.kernelLaunchUs * 1e-6 + tax_.launchExtraSec;
-        const double host_bw = tax_.hostLinkBwBytes > 0.0
-                                   ? tax_.hostLinkBwBytes
-                                   : gpu_.pcieBwBytes;
-        return std::max(flops / rate, bytes / bw) +
-               cfg.launchesPerStep * launch +
-               nseq * width * cfg.hostBytesPerToken / host_bw;
-    }
-
-  private:
-    hw::GpuSpec gpu_;
-    llm::ModelConfig model_;
-    hw::Dtype dtype_;
-    tee::GpuTax tax_;
-    llm::GpuPerfModel perf_;
+    Kernel k_;
 };
 
 } // namespace
@@ -427,16 +280,16 @@ makeCpuStepModel(const hw::CpuSpec &cpu,
                  const llm::ModelConfig &model,
                  const llm::RunParams &params)
 {
-    return std::make_unique<CpuStepModel>(cpu, std::move(backend), model,
-                                          params);
+    return std::make_unique<KernelStepModel<llm::CpuStepKernel>>(
+        llm::CpuPerfModel().kernel(cpu, *backend, model, params));
 }
 
 std::unique_ptr<StepModel>
 makeGpuStepModel(const hw::GpuSpec &gpu, bool confidential,
                  const llm::ModelConfig &model, hw::Dtype dtype)
 {
-    return std::make_unique<GpuStepModel>(gpu, confidential, model,
-                                          dtype);
+    return std::make_unique<KernelStepModel<llm::GpuStepKernel>>(
+        llm::GpuStepKernel(gpu, confidential, model, dtype));
 }
 
 Server::Server(std::unique_ptr<StepModel> step, ServerConfig cfg)

@@ -122,19 +122,8 @@ Config::getInt(const std::string &section, const std::string &key,
 {
     if (!has(section, key))
         return fallback;
-    const std::string v = getString(section, key);
-    std::size_t used = 0;
-    long out = 0;
-    try {
-        out = std::stol(v, &used);
-    } catch (...) {
-        cllm_fatal("config [", section, "] ", key, " = '", v,
-                   "' is not an integer");
-    }
-    if (used != v.size())
-        cllm_fatal("config [", section, "] ", key, " = '", v,
-                   "' has trailing junk");
-    return out;
+    return parseNumber<long>("config [" + section + "] " + key,
+                             getString(section, key));
 }
 
 double
@@ -143,19 +132,8 @@ Config::getDouble(const std::string &section, const std::string &key,
 {
     if (!has(section, key))
         return fallback;
-    const std::string v = getString(section, key);
-    std::size_t used = 0;
-    double out = 0.0;
-    try {
-        out = std::stod(v, &used);
-    } catch (...) {
-        cllm_fatal("config [", section, "] ", key, " = '", v,
-                   "' is not a number");
-    }
-    if (used != v.size())
-        cllm_fatal("config [", section, "] ", key, " = '", v,
-                   "' has trailing junk");
-    return out;
+    return parseNumber<double>("config [" + section + "] " + key,
+                               getString(section, key));
 }
 
 bool

@@ -9,11 +9,48 @@
 #ifndef CLLM_UTIL_CONFIG_HH
 #define CLLM_UTIL_CONFIG_HH
 
+#include <charconv>
+#include <limits>
 #include <map>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace cllm {
+
+/**
+ * Parse the whole of `text` as a T in [lo, hi]. Fatal, naming `what`
+ * (a flag or config key), when `text` is not a T, has trailing
+ * characters, or lies outside the range; never defaults silently.
+ * Unsigned T rejects a leading '-'.
+ */
+template <typename T>
+T
+parseNumber(const std::string &what, const std::string &text,
+            T lo = std::numeric_limits<T>::lowest(),
+            T hi = std::numeric_limits<T>::max())
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec == std::errc::invalid_argument) {
+        cllm_fatal(what, " = '", text, "' is not ",
+                   !std::is_integral_v<T> ? "a number"
+                   : std::is_signed_v<T>  ? "an integer"
+                                          : "a non-negative integer");
+    }
+    if (ec == std::errc::result_out_of_range)
+        cllm_fatal(what, " = '", text, "' is out of range");
+    if (stop != end)
+        cllm_fatal(what, " = '", text, "' has trailing junk");
+    if (!(v >= lo && v <= hi))
+        cllm_fatal(what, " = '", text, "' outside [", lo, ", ", hi,
+                   "]");
+    return v;
+}
 
 /**
  * Parsed configuration with typed accessors.

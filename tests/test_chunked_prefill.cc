@@ -122,11 +122,9 @@ TEST(ChunkStepModel, SingleUnsharedChunkEqualsMonolithicPrefill)
                                       llm::llama2_7b(),
                                       hw::Dtype::Bf16);
     for (unsigned n : {32u, 256u, 1024u, 4096u}) {
-        EXPECT_DOUBLE_EQ(cpu->prefillChunk(0, n, false),
-                         cpu->prefill(n))
+        EXPECT_EQ(cpu->prefillChunk(0, n, false), cpu->prefill(n))
             << "cpu n=" << n;
-        EXPECT_DOUBLE_EQ(gpu->prefillChunk(0, n, false),
-                         gpu->prefill(n))
+        EXPECT_EQ(gpu->prefillChunk(0, n, false), gpu->prefill(n))
             << "gpu n=" << n;
     }
 }

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "bench/bench_util.hh"
 #include "util/config.hh"
 #include "util/json.hh"
 
@@ -98,6 +102,93 @@ TEST(ConfigDeath, MalformedNumbersFatal)
     ASSERT_TRUE(r.ok);
     EXPECT_DEATH(r.config.getInt("s", "k"), "trailing junk");
     EXPECT_DEATH(r.config.getBool("s", "b"), "not a boolean");
+}
+
+TEST(ParseNumber, AcceptsWholeInRangeValues)
+{
+    EXPECT_EQ(parseNumber<unsigned>("n", "42"), 42u);
+    EXPECT_EQ(parseNumber<long>("n", "-7"), -7);
+    EXPECT_EQ(parseNumber<double>("f", "0.5", 0.0, 1.0), 0.5);
+    EXPECT_EQ(parseNumber<std::uint64_t>("seed", "18446744073709551615"),
+              UINT64_MAX);
+}
+
+TEST(ParseNumberDeath, RejectsJunkTrailingAndOutOfRange)
+{
+    EXPECT_DEATH(parseNumber<std::uint64_t>("--faults", "abc"),
+                 "--faults = 'abc' is not a non-negative integer");
+    EXPECT_DEATH(parseNumber<unsigned>("n", "12x"), "trailing junk");
+    EXPECT_DEATH(parseNumber<unsigned>("n", "-1"),
+                 "not a non-negative integer");
+    EXPECT_DEATH(parseNumber<double>("f", "0.5x"), "trailing junk");
+    EXPECT_DEATH(parseNumber<long>("n", ""), "not an integer");
+    EXPECT_DEATH(parseNumber<unsigned>("n", "99999999999"),
+                 "out of range");
+    EXPECT_DEATH(parseNumber<double>("f", "1.5", 0.0, 1.0), "outside");
+    EXPECT_DEATH(parseNumber<double>("f", "nan"), "outside");
+    EXPECT_DEATH(parseNumber<double>("f", "inf"), "outside");
+}
+
+TEST(ConfigDeath, MalformedDoubleFatal)
+{
+    const auto r = Config::parse("[s]\nx = 0.5x\ny = pi\n");
+    ASSERT_TRUE(r.ok);
+    EXPECT_DEATH(r.config.getDouble("s", "x"),
+                 "config \\[s\\] x = '0.5x' has trailing junk");
+    EXPECT_DEATH(r.config.getDouble("s", "y"), "is not a number");
+}
+
+namespace {
+
+/** Run one argv through the shared numeric bench-flag parsers. */
+void
+parseBenchFlag(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    const int argc = static_cast<int>(argv.size());
+    bench::PrefixOptions prefix;
+    bench::ChunkOptions chunk;
+    bench::SpecOptions spec;
+    for (int i = 1; i < argc; ++i) {
+        if (!bench::parsePrefixArg(prefix, argc, argv.data(), i) &&
+            !bench::parseChunkArg(chunk, argc, argv.data(), i) &&
+            !bench::parseSpecArg(spec, argc, argv.data(), i))
+            FAIL() << "unhandled flag " << argv[i];
+    }
+}
+
+} // namespace
+
+TEST(BenchFlags, WellFormedNumericFlagsParse)
+{
+    parseBenchFlag({"--prefix-tenants", "3", "--prefix-len", "0",
+                    "--prefix-share", "1", "--chunk-tokens", "64",
+                    "--chunk-budget", "0", "--spec-k", "2",
+                    "--spec-ratio", "0.2", "--spec-accept", "0"});
+}
+
+TEST(BenchFlagsDeath, NumericFlagsAreStrict)
+{
+    EXPECT_DEATH(parseBenchFlag({"--prefix-tenants", "abc"}),
+                 "--prefix-tenants = 'abc' is not");
+    EXPECT_DEATH(parseBenchFlag({"--prefix-tenants", "0"}), "outside");
+    EXPECT_DEATH(parseBenchFlag({"--prefix-len", "-1"}),
+                 "--prefix-len = '-1' is not a non-negative integer");
+    EXPECT_DEATH(parseBenchFlag({"--prefix-share", "0.5x"}),
+                 "--prefix-share = '0.5x' has trailing junk");
+    EXPECT_DEATH(parseBenchFlag({"--chunk-tokens", "12x"}),
+                 "--chunk-tokens = '12x' has trailing junk");
+    EXPECT_DEATH(parseBenchFlag({"--chunk-budget", "many"}),
+                 "--chunk-budget = 'many' is not");
+    EXPECT_DEATH(parseBenchFlag({"--spec-k", "0"}), "--spec-k = '0'");
+    EXPECT_DEATH(parseBenchFlag({"--spec-ratio", "1"}),
+                 "--spec-ratio outside");
+    EXPECT_DEATH(parseBenchFlag({"--spec-accept", "1.5"}),
+                 "--spec-accept = '1.5' outside");
+    EXPECT_DEATH(parseBenchFlag({"--spec-k"}), "--spec-k needs a value");
 }
 
 TEST(Json, FlatObject)

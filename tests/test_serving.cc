@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "obs/trace.hh"
 #include "serve/serving.hh"
@@ -311,6 +312,47 @@ TEST(Server, ConfidentialGpuSlowerThanRaw)
     EXPECT_GT(mr.tokensPerSecond, mcc.tokensPerSecond);
     // cGPU serving tax stays in the paper's single-digit band.
     EXPECT_LT(mr.tokensPerSecond / mcc.tokensPerSecond, 1.12);
+}
+
+// The figure models (run()) and the serving step models price through
+// one kernel per backend, so the calibration bands the figure tests
+// check are the formulas serving runs. Exact equality on the bits.
+
+TEST(KernelParity, CpuRunPrefillIsServingPrefill)
+{
+    const hw::CpuSpec cpu = hw::emr2();
+    llm::RunParams p = deployParams(cpu);
+    p.batch = 1;
+    std::vector<std::unique_ptr<tee::TeeBackend>> backends;
+    backends.push_back(tee::makeBareMetal());
+    backends.push_back(tee::makeVm());
+    backends.push_back(tee::makeSgx());
+    backends.push_back(tee::makeTdx());
+    for (auto &be : backends) {
+        const std::string name = be->name();
+        const double run =
+            llm::CpuPerfModel().run(cpu, *be, llm::llama2_7b(), p)
+                .prefillSeconds;
+        const auto step = makeCpuStepModel(cpu, shared(std::move(be)),
+                                           llm::llama2_7b(), p);
+        EXPECT_EQ(run, step->prefill(p.inLen)) << name;
+    }
+}
+
+TEST(KernelParity, GpuRunPrefillIsServingPrefill)
+{
+    for (bool cc : {false, true}) {
+        llm::GpuRunParams p;
+        p.inLen = 1024;
+        p.confidential = cc;
+        const double run =
+            llm::GpuPerfModel().run(hw::h100Nvl(), llm::llama2_7b(), p)
+                .prefillSeconds;
+        const auto step = makeGpuStepModel(hw::h100Nvl(), cc,
+                                           llm::llama2_7b(),
+                                           hw::Dtype::Bf16);
+        EXPECT_EQ(run, step->prefill(p.inLen)) << "cc=" << cc;
+    }
 }
 
 TEST(Server, BatchPolicyNames)

@@ -133,11 +133,11 @@ TEST(SpecStepModel, ZeroDraftVerifyEqualsDecodeStep)
                                       hw::Dtype::Bf16);
     for (double n : {1.0, 8.0, 32.0}) {
         for (double pos : {128.0, 512.0, 2048.0}) {
-            EXPECT_DOUBLE_EQ(tdx->verifyStep(n, 0.0, pos),
-                             tdx->decodeStep(n, pos))
+            EXPECT_EQ(tdx->verifyStep(n, 0.0, pos),
+                      tdx->decodeStep(n, pos))
                 << "cpu n=" << n << " pos=" << pos;
-            EXPECT_DOUBLE_EQ(gpu->verifyStep(n, 0.0, pos),
-                             gpu->decodeStep(n, pos))
+            EXPECT_EQ(gpu->verifyStep(n, 0.0, pos),
+                      gpu->decodeStep(n, pos))
                 << "gpu n=" << n << " pos=" << pos;
         }
     }
