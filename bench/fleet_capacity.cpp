@@ -265,12 +265,10 @@ prefixComparison(const bench::PrefixOptions &popt)
         const fleet::FleetMetrics m = sim.run(trace);
         if (!v.prefixOn)
             off_per_1k = m.costPer1kTokens;
-        const std::size_t matches = m.prefixHits + m.prefixMisses;
         t.addRow(
             {v.name,
-             matches ? fmtPct(100.0 * m.prefixHits /
-                              static_cast<double>(matches))
-                     : std::string("-"),
+             m.prefixEnabled ? fmtPct(100.0 * serve::prefixHitRate(m))
+                             : std::string("-"),
              fmtInt(m.prefillTokensComputed), fmt(m.ttft.p50, 3),
              fmt(m.ttft.p99, 3), fmt(m.costPer1kTokens, 4),
              v.prefixOn ? fmt(off_per_1k - m.costPer1kTokens, 6)
@@ -363,16 +361,10 @@ specComparison(const bench::SpecOptions &sopt)
         cfg.initialNodes = {0, 0, 0, 0};
         fleet::FleetSimulator sim(cfg, {node});
         const fleet::FleetMetrics m = sim.run(trace);
-        // Per-sequence verify cycles end in a bonus token or a
-        // rejection resample, so their sum counts cycles.
-        const std::uint64_t cycles = m.specBonus + m.specRejected;
-        const double mean_acc =
-            cycles ? static_cast<double>(m.specAccepted) /
-                         static_cast<double>(cycles)
-                   : 0.0;
         t.addRow({spec ? "speculative" : "autoregressive",
                   spec ? fmtInt(m.specVerifySteps) : std::string("-"),
-                  spec ? fmt(mean_acc, 2) : std::string("-"),
+                  spec ? fmt(serve::specMeanAcceptedLen(m), 2)
+                       : std::string("-"),
                   fmt(1e3 * m.itl.p99, 1), fmt(m.tokensPerSecond),
                   fmt(m.costPer1kTokens, 4)});
     }

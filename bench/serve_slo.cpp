@@ -315,12 +315,10 @@ runPrefixSweepMode(const bench::PrefixOptions &popt,
         run.usdPer1k = cost::costPer1kTokens(
             run.m.outputTokens,
             cost::nodeSecondsUsd(instance_hr, run.m.makespan));
-        const std::size_t matches =
-            run.m.prefixHits + run.m.prefixMisses;
         t.addRow({run.name,
-                  matches ? fmtPct(100.0 * run.m.prefixHits /
-                                   static_cast<double>(matches))
-                          : std::string("-"),
+                  run.m.prefixEnabled
+                      ? fmtPct(100.0 * prefixHitRate(run.m))
+                      : std::string("-"),
                   fmtInt(run.m.prefillTokensComputed),
                   fmt(run.m.ttft.p50, 3), fmt(run.m.ttft.p95, 3),
                   fmt(run.m.tokensPerSecond),
@@ -568,16 +566,8 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
         run.usdPer1k = cost::costPer1kTokens(
             run.m.outputTokens,
             cost::nodeSecondsUsd(instance_hr, run.m.makespan));
-        // Per-sequence verify cycles end in a bonus token or a
-        // rejection resample, so their sum counts cycles.
-        const std::uint64_t cycles =
-            run.m.specBonus + run.m.specRejected;
-        const double mean_acc =
-            cycles ? static_cast<double>(run.m.specAccepted) /
-                         static_cast<double>(cycles)
-                   : 0.0;
         t.addRow({run.name, fmtInt(run.m.decodeSteps),
-                  run.draftTokens ? fmt(mean_acc, 2)
+                  run.draftTokens ? fmt(specMeanAcceptedLen(run.m), 2)
                                   : std::string("-"),
                   fmt(1e3 * run.m.itl.p50, 1),
                   fmt(1e3 * run.m.itl.p99, 1),
@@ -605,11 +595,7 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
         json.field("spec_rejected_tokens", run.m.specRejected);
         json.field("spec_bonus_tokens", run.m.specBonus);
         json.field("spec_mean_accepted_len",
-                   run.m.specBonus + run.m.specRejected
-                       ? static_cast<double>(run.m.specAccepted) /
-                             static_cast<double>(run.m.specBonus +
-                                                 run.m.specRejected)
-                       : 0.0);
+                   specMeanAcceptedLen(run.m));
         json.field("decode_steps", run.m.decodeSteps);
         json.field("itl_p50_s", run.m.itl.p50);
         json.field("itl_p99_s", run.m.itl.p99);

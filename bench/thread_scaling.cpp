@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -26,6 +25,7 @@
 #include "llm/runtime.hh"
 #include "par/pool.hh"
 #include "rag/dense.hh"
+#include "util/config.hh"
 #include "util/json.hh"
 #include "util/rng.hh"
 
@@ -140,8 +140,8 @@ main(int argc, char **argv)
 {
     unsigned max_threads = 8;
     if (argc > 1)
-        max_threads = static_cast<unsigned>(
-            std::max(1L, std::strtol(argv[1], nullptr, 10)));
+        max_threads = parseNumber<unsigned>("max_threads", argv[1], 1,
+                                            1024);
     std::vector<unsigned> threads;
     for (unsigned t = 1; t <= max_threads; t *= 2)
         threads.push_back(t);

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/experiment.hh"
+#include "util/config.hh"
 #include "util/table.hh"
 
 using namespace cllm;
@@ -22,9 +23,9 @@ main(int argc, char **argv)
     unsigned batch = 4;
     unsigned in_len = 128;
     if (argc > 1)
-        batch = static_cast<unsigned>(std::stoul(argv[1]));
+        batch = parseNumber<unsigned>("batch", argv[1], 1);
     if (argc > 2)
-        in_len = static_cast<unsigned>(std::stoul(argv[2]));
+        in_len = parseNumber<unsigned>("in_len", argv[2], 1);
 
     core::Experiment exp;
     const hw::CpuSpec cpu = hw::emr2();

@@ -12,13 +12,13 @@
  *   fleet_planner [rate_req_s] [ttft_p99_s]   (defaults 1.5, 2.0)
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "fleet/presets.hh"
 #include "fleet/simulator.hh"
+#include "util/config.hh"
 #include "util/table.hh"
 
 using namespace cllm;
@@ -37,8 +37,10 @@ struct Candidate
 int
 main(int argc, char **argv)
 {
-    const double rate = argc > 1 ? std::atof(argv[1]) : 1.5;
-    const double ttft_p99 = argc > 2 ? std::atof(argv[2]) : 2.0;
+    const double rate =
+        argc > 1 ? parseNumber<double>("rate_req_s", argv[1]) : 1.5;
+    const double ttft_p99 =
+        argc > 2 ? parseNumber<double>("ttft_p99_s", argv[2]) : 2.0;
     if (rate <= 0.0 || ttft_p99 <= 0.0) {
         std::cerr << "usage: fleet_planner [rate_req_s] "
                      "[ttft_p99_s]\n";

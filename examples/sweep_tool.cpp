@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "util/config.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -34,7 +35,7 @@ parseList(const std::string &s)
     std::stringstream ss(s);
     std::string item;
     while (std::getline(ss, item, ','))
-        out.push_back(static_cast<unsigned>(std::stoul(item)));
+        out.push_back(parseNumber<unsigned>("--batch", item, 1));
     return out;
 }
 
@@ -133,15 +134,15 @@ main(int argc, char **argv)
         else if (arg == "--batch")
             batches = parseList(next());
         else if (arg == "--input")
-            in_len = static_cast<unsigned>(std::stoul(next()));
+            in_len = parseNumber<unsigned>(arg, next(), 1);
         else if (arg == "--output")
-            out_len = static_cast<unsigned>(std::stoul(next()));
+            out_len = parseNumber<unsigned>(arg, next(), 1);
         else if (arg == "--beam")
-            beam = static_cast<unsigned>(std::stoul(next()));
+            beam = parseNumber<unsigned>(arg, next(), 1);
         else if (arg == "--sockets")
-            sockets = static_cast<unsigned>(std::stoul(next()));
+            sockets = parseNumber<unsigned>(arg, next(), 1);
         else if (arg == "--cores")
-            cores = static_cast<unsigned>(std::stoul(next()));
+            cores = parseNumber<unsigned>(arg, next());
         else if (arg == "--no-amx")
             amx = false;
         else if (arg == "--csv")

@@ -22,46 +22,8 @@ writeFleetMetrics(JsonWriter &json, const FleetMetrics &m)
     json.field("kv_utilization_peak", m.kvUtilizationPeak);
     json.field("mean_batch_occupancy", m.meanBatchOccupancy);
     json.field("peak_batch_occupancy", m.peakBatchOccupancy);
-    json.field("kv_preemptions", m.kvPreemptions);
-    json.field("kv_swap_outs", m.kvSwapOuts);
-    json.field("kv_swap_ins", m.kvSwapIns);
-    json.field("kv_swap_s", m.kvSwapSeconds);
-    if (m.prefixEnabled) {
-        json.field("prefix_hits", m.prefixHits);
-        json.field("prefix_misses", m.prefixMisses);
-        json.field("prefix_cached_tokens", m.prefixCachedTokens);
-        json.field("prefill_tokens_computed",
-                   m.prefillTokensComputed);
-        json.field("prefix_evictions", m.prefixEvictions);
-        json.field("prefix_evicted_blocks", m.prefixEvictedBlocks);
-        json.field("prefix_pinned_peak_blocks", m.prefixPinnedPeak);
-    }
-    if (m.chunkedEnabled) {
-        json.field("itl_p50_s", m.itl.p50);
-        json.field("itl_p95_s", m.itl.p95);
-        json.field("itl_p99_s", m.itl.p99);
-        json.field("chunk_slices", m.chunkSlices);
-        json.field("chunk_prefill_tokens", m.chunkPrefillTokens);
-        json.field("mixed_steps", m.mixedSteps);
-        json.field("starvation_kicks", m.starvationKicks);
-        json.field("max_step_prefill_tokens", m.maxStepPrefillTokens);
-    }
-    if (m.specEnabled) {
-        json.field("spec_verify_steps", m.specVerifySteps);
-        json.field("spec_draft_tokens", m.specDraftTokens);
-        json.field("spec_accepted_tokens", m.specAccepted);
-        json.field("spec_rejected_tokens", m.specRejected);
-        json.field("spec_bonus_tokens", m.specBonus);
-        // Per-sequence verify cycles end in a bonus token or a
-        // rejection resample; accepted / (bonus + rejected) is the
-        // mean accepted draft length per cycle.
-        json.field("spec_mean_accepted_len",
-                   m.specBonus + m.specRejected
-                       ? static_cast<double>(m.specAccepted) /
-                             static_cast<double>(m.specBonus +
-                                                 m.specRejected)
-                       : 0.0);
-    }
+    serve::writeCounters(json, m, m.itl, serve::CounterGroup::Kv,
+                         serve::CounterGroup::Spec);
     json.field("total_cost_usd", m.totalCostUsd);
     json.field("cost_per_1k_tokens_usd", m.costPer1kTokens);
     json.field("peak_nodes", m.peakNodes);
@@ -69,12 +31,8 @@ writeFleetMetrics(JsonWriter &json, const FleetMetrics &m)
     json.field("scale_ups", m.scaleUps);
     json.field("drains", m.drains);
     json.field("backlogged", m.backlogged);
-    json.field("retries", m.retries);
-    json.field("shed", m.shed);
-    json.field("timed_out", m.timedOut);
-    json.field("failed", m.failed);
-    json.field("restarts", m.restarts);
-    json.field("fault_downtime_s", m.faultDowntime);
+    serve::writeCounters(json, m, m.itl, serve::CounterGroup::Resilience,
+                         serve::CounterGroup::Resilience);
 
     json.key("node_timeline");
     json.beginArray();

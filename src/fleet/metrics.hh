@@ -33,8 +33,14 @@ struct NodeSummary
     serve::ServeMetrics serve{};
 };
 
-/** Aggregated fleet outcome. */
-struct FleetMetrics
+/**
+ * Aggregated fleet outcome. The serving counters roll up across nodes
+ * by each counter's rule (`serve::kServeCounters`). The fleet ITL
+ * summary pools every node's per-token gap samples in node-id order,
+ * so it is a distribution over tokens, not a mean of per-node
+ * summaries.
+ */
+struct FleetMetrics : serve::ServeCounters
 {
     std::size_t submitted = 0;
     std::size_t completed = 0;
@@ -44,51 +50,11 @@ struct FleetMetrics
     double tokensPerSecond = 0.0;
     SampleSummary ttft{};
     SampleSummary tpot{};
+    SampleSummary itl{};
     double sloAttainment = 0.0;
     double kvUtilizationPeak = 0.0;   //!< max across nodes
     double meanBatchOccupancy = 0.0;  //!< fleet-wide per decode step
     double peakBatchOccupancy = 0.0;  //!< max across nodes
-
-    // Paged-KV scheduling (sums over nodes; zero in reserved mode).
-    std::size_t kvPreemptions = 0;
-    std::size_t kvSwapOuts = 0;
-    std::size_t kvSwapIns = 0;
-    double kvSwapSeconds = 0.0;
-
-    // Prefix caching (sums over nodes; emitted to JSON only when any
-    // node ran with caching on, keeping legacy output byte-stable).
-    bool prefixEnabled = false;
-    std::size_t prefixHits = 0;
-    std::size_t prefixMisses = 0;
-    std::uint64_t prefixCachedTokens = 0;
-    std::uint64_t prefillTokensComputed = 0;
-    std::size_t prefixEvictions = 0;
-    std::uint64_t prefixEvictedBlocks = 0;
-    std::uint64_t prefixPinnedPeak = 0; //!< max across nodes
-
-    // Chunked prefill (sums over nodes except the max; emitted to
-    // JSON only when any node ran with chunking on). The fleet ITL
-    // summary pools every node's per-token gap samples in node-id
-    // order, so it is a distribution over tokens, not a mean of
-    // per-node summaries.
-    bool chunkedEnabled = false;
-    SampleSummary itl{};
-    std::size_t chunkSlices = 0;
-    std::uint64_t chunkPrefillTokens = 0;
-    std::size_t mixedSteps = 0;
-    std::size_t starvationKicks = 0;
-    std::uint64_t maxStepPrefillTokens = 0; //!< max across nodes
-
-    // Speculative decoding (sums over nodes; emitted to JSON only
-    // when any node ran with speculation on). The accepted-length
-    // rollup meanAcceptedLen is fleet-wide: total accepted draft
-    // tokens over total verify cycles.
-    bool specEnabled = false;
-    std::size_t specVerifySteps = 0;
-    std::uint64_t specDraftTokens = 0;
-    std::uint64_t specAccepted = 0;
-    std::uint64_t specRejected = 0;
-    std::uint64_t specBonus = 0;
 
     // Fleet economics.
     double totalCostUsd = 0.0;
@@ -100,14 +66,6 @@ struct FleetMetrics
     std::size_t scaleUps = 0;
     std::size_t drains = 0;
     std::size_t backlogged = 0;       //!< arrivals that found no node
-
-    // Aggregate resilience (sums over nodes).
-    std::size_t retries = 0;
-    std::size_t shed = 0;
-    std::size_t timedOut = 0;
-    std::size_t failed = 0;
-    std::size_t restarts = 0;
-    double faultDowntime = 0.0;
 
     /** (time, live node count) — one entry per change. */
     std::vector<std::pair<double, unsigned>> nodeTimeline;

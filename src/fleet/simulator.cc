@@ -247,41 +247,7 @@ FleetSimulator::finalize(std::size_t backlogged_total)
         const serve::ContinuousEngine &e = n->engine();
         makespan = std::max(makespan, e.clock());
         const serve::ServeTally &t = e.tally();
-        tally.retries += t.retries;
-        tally.shed += t.shed;
-        tally.timedOut += t.timedOut;
-        tally.failed += t.failed;
-        tally.restarts += t.restarts;
-        tally.attestRejections += t.attestRejections;
-        tally.faultDowntime += t.faultDowntime;
-        tally.kvPreemptions += t.kvPreemptions;
-        tally.kvSwapOuts += t.kvSwapOuts;
-        tally.kvSwapIns += t.kvSwapIns;
-        tally.kvSwapSeconds += t.kvSwapSeconds;
-        tally.prefixEnabled = tally.prefixEnabled || t.prefixEnabled;
-        tally.prefixHits += t.prefixHits;
-        tally.prefixMisses += t.prefixMisses;
-        tally.prefixCachedTokens += t.prefixCachedTokens;
-        tally.prefillTokensComputed += t.prefillTokensComputed;
-        tally.prefixEvictions += t.prefixEvictions;
-        tally.prefixEvictedBlocks += t.prefixEvictedBlocks;
-        tally.prefixInsertedBlocks += t.prefixInsertedBlocks;
-        tally.prefixPinnedPeak = std::max<std::uint64_t>(
-            tally.prefixPinnedPeak, t.prefixPinnedPeak);
-        tally.chunkedEnabled =
-            tally.chunkedEnabled || t.chunkedEnabled;
-        tally.chunkSlices += t.chunkSlices;
-        tally.chunkPrefillTokens += t.chunkPrefillTokens;
-        tally.mixedSteps += t.mixedSteps;
-        tally.starvationKicks += t.starvationKicks;
-        tally.maxStepPrefillTokens = std::max(
-            tally.maxStepPrefillTokens, t.maxStepPrefillTokens);
-        tally.specEnabled = tally.specEnabled || t.specEnabled;
-        tally.specVerifySteps += t.specVerifySteps;
-        tally.specDraftTokens += t.specDraftTokens;
-        tally.specAccepted += t.specAccepted;
-        tally.specRejected += t.specRejected;
-        tally.specBonus += t.specBonus;
+        serve::mergeCounters(tally, t);
         // Pool every node's per-token gaps (node-id order, so the
         // fleet ITL summary is deterministic at any thread count).
         tally.itlSamples.insert(tally.itlSamples.end(),
@@ -302,6 +268,7 @@ FleetSimulator::finalize(std::size_t backlogged_total)
         cfg_.tpotSlo);
 
     FleetMetrics m;
+    static_cast<serve::ServeCounters &>(m) = agg;
     m.submitted = agg.submitted;
     m.completed = agg.completed;
     m.availability = agg.availability;
@@ -310,41 +277,11 @@ FleetSimulator::finalize(std::size_t backlogged_total)
     m.tokensPerSecond = agg.tokensPerSecond;
     m.ttft = agg.ttft;
     m.tpot = agg.tpot;
+    m.itl = agg.itl;
     m.sloAttainment = agg.sloAttainment;
     m.kvUtilizationPeak = kv_peak;
     m.meanBatchOccupancy = agg.meanBatchOccupancy;
     m.peakBatchOccupancy = static_cast<double>(peak_batch);
-    m.kvPreemptions = tally.kvPreemptions;
-    m.kvSwapOuts = tally.kvSwapOuts;
-    m.kvSwapIns = tally.kvSwapIns;
-    m.kvSwapSeconds = tally.kvSwapSeconds;
-    m.prefixEnabled = tally.prefixEnabled;
-    m.prefixHits = tally.prefixHits;
-    m.prefixMisses = tally.prefixMisses;
-    m.prefixCachedTokens = tally.prefixCachedTokens;
-    m.prefillTokensComputed = tally.prefillTokensComputed;
-    m.prefixEvictions = tally.prefixEvictions;
-    m.prefixEvictedBlocks = tally.prefixEvictedBlocks;
-    m.prefixPinnedPeak = tally.prefixPinnedPeak;
-    m.chunkedEnabled = tally.chunkedEnabled;
-    m.itl = agg.itl;
-    m.chunkSlices = tally.chunkSlices;
-    m.chunkPrefillTokens = tally.chunkPrefillTokens;
-    m.mixedSteps = tally.mixedSteps;
-    m.starvationKicks = tally.starvationKicks;
-    m.maxStepPrefillTokens = tally.maxStepPrefillTokens;
-    m.specEnabled = tally.specEnabled;
-    m.specVerifySteps = tally.specVerifySteps;
-    m.specDraftTokens = tally.specDraftTokens;
-    m.specAccepted = tally.specAccepted;
-    m.specRejected = tally.specRejected;
-    m.specBonus = tally.specBonus;
-    m.retries = tally.retries;
-    m.shed = tally.shed;
-    m.timedOut = tally.timedOut;
-    m.failed = tally.failed;
-    m.restarts = tally.restarts;
-    m.faultDowntime = tally.faultDowntime;
     m.scaleUps = scaleUps_;
     m.drains = drains_;
     m.backlogged = backlogged_total;

@@ -17,160 +17,6 @@ namespace {
 /** Request-lifecycle async category shared by every engine event. */
 constexpr const char *kReqCat = "request";
 
-/** Hot counters shared by every engine in the process. */
-obs::Counter &
-prefillCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.prefills");
-    return c;
-}
-
-obs::Counter &
-decodeStepCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.decode_steps");
-    return c;
-}
-
-obs::Counter &
-tokenCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.output_tokens");
-    return c;
-}
-
-obs::Counter &
-preemptCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.kv_preempts");
-    return c;
-}
-
-obs::Counter &
-swapOutCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.kv_swap_outs");
-    return c;
-}
-
-obs::Counter &
-swapInCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.kv_swap_ins");
-    return c;
-}
-
-// Prefix-cache counters are only ever touched on prefix-enabled
-// paths, so a prefixMode=off run never registers them and the obs
-// registry snapshot stays byte-identical to older builds.
-obs::Counter &
-prefixHitCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.prefix_hits");
-    return c;
-}
-
-obs::Counter &
-prefixMissCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.prefix_misses");
-    return c;
-}
-
-obs::Counter &
-prefixEvictCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.prefix_evicted_blocks");
-    return c;
-}
-
-// Chunked-prefill counters follow the same lazy-registration rule:
-// only chunked paths ever touch them, so an off-mode run's registry
-// snapshot stays byte-identical to older builds.
-obs::Counter &
-chunkSliceCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.chunk_slices");
-    return c;
-}
-
-obs::Counter &
-chunkTokenCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.chunk_prefill_tokens");
-    return c;
-}
-
-obs::Counter &
-mixedStepCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.chunk_mixed_steps");
-    return c;
-}
-
-obs::Counter &
-starvationCounter()
-{
-    static obs::Counter &c = obs::Registry::global().counter(
-        "serve.chunk_starvation_kicks");
-    return c;
-}
-
-// Speculative-decoding counters are lazy for the same reason: a
-// specDecode=off run never registers them, keeping its registry
-// snapshot byte-identical to older builds.
-obs::Counter &
-specVerifyCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_verify_steps");
-    return c;
-}
-
-obs::Counter &
-specDraftCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_draft_tokens");
-    return c;
-}
-
-obs::Counter &
-specAcceptCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_accepted_tokens");
-    return c;
-}
-
-obs::Counter &
-specRejectCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_rejected_tokens");
-    return c;
-}
-
-obs::Counter &
-specBonusCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_bonus_tokens");
-    return c;
-}
-
 /**
  * Whether the target accepts draft position `pos` (0-based output
  * index) of request `id`: a uniform draw in [0, 1) keyed purely on
@@ -418,7 +264,6 @@ ContinuousEngine::admitCheck(const Request &r, unsigned produced,
         const std::uint64_t freed = prefix_->evictToFree(want, clock_);
         if (freed == 0)
             return false;
-        prefixEvictCounter().add(freed);
         syncPrefixTally();
         if (obs::Tracer *t = simTracer(cfg_))
             t->instant(cfg_.traceLane, "prefix.evict", clock_,
@@ -435,7 +280,6 @@ ContinuousEngine::syncPrefixTally()
     tally_.prefixCachedTokens = s.hitTokens;
     tally_.prefixEvictions = s.evictions;
     tally_.prefixEvictedBlocks = s.evictedBlocks;
-    tally_.prefixInsertedBlocks = s.insertedBlocks;
     tally_.prefixPinnedPeak = std::max<std::uint64_t>(
         tally_.prefixPinnedPeak, prefix_->pinnedBlocks());
 }
@@ -465,7 +309,6 @@ ContinuousEngine::preemptActive(std::size_t idx)
                      victim.req->inLen + victim.produced;
     pool_->release(victim.req->id);
     ++tally_.kvPreemptions;
-    preemptCounter().inc();
     obs::Tracer *tr = simTracer(cfg_);
     if (tr)
         tr->instant(cfg_.traceLane, "kv.preempt", clock_,
@@ -489,7 +332,6 @@ ContinuousEngine::preemptActive(std::size_t idx)
         clock_ += sec;
         tally_.kvSwapSeconds += sec;
         ++tally_.kvSwapOuts;
-        swapOutCounter().inc();
         swapped = true;
         if (tr)
             tr->complete(
@@ -539,7 +381,6 @@ ContinuousEngine::growPaged()
                 const std::uint64_t freed =
                     prefix_->evictToFree(1, clock_);
                 if (freed > 0) {
-                    prefixEvictCounter().add(freed);
                     syncPrefixTally();
                     continue;
                 }
@@ -566,6 +407,26 @@ ContinuousEngine::publishKvGauges() const
         static obs::Gauge &pinned = obs::Registry::global().gauge(
             "serve.prefix_pinned_blocks");
         pinned.set(static_cast<double>(prefix_->pinnedBlocks()));
+    }
+}
+
+// Add each counter's growth since the last publish to its obs counter.
+// A counter that never moves never registers, so a run with a feature
+// off leaves that feature's counters out of the registry.
+void
+ContinuousEngine::publishCounters()
+{
+    for (std::size_t i = 0; i < kServeCounters.size(); ++i) {
+        const CounterDef &d = kServeCounters[i];
+        if (!d.obs)
+            continue;
+        const auto m = std::get<std::uint64_t ServeCounters::*>(d.member);
+        if (tally_.*m == published_.*m)
+            continue;
+        if (!obsCounters_[i])
+            obsCounters_[i] = &obs::Registry::global().counter(d.obs);
+        obsCounters_[i]->add(tally_.*m - published_.*m);
+        published_.*m = tally_.*m;
     }
 }
 
@@ -603,7 +464,14 @@ ContinuousEngine::iterate(double admit_horizon)
 {
     if (idle())
         return;
+    if (admit(admit_horizon))
+        step();
+    publishCounters();
+}
 
+bool
+ContinuousEngine::admit(double admit_horizon)
+{
     const ResiliencePolicy &rp = cfg_.resilience;
     obs::Tracer *tr = simTracer(cfg_);
     const std::uint32_t lane = cfg_.traceLane;
@@ -666,7 +534,7 @@ ContinuousEngine::iterate(double admit_horizon)
             inAdmission_ = true;
             admitKvFactor_ = kv_factor;
             admitMaxBatch_ = max_batch;
-            return;
+            return false;
         }
         if (pending_.empty() || pending_.top().readyAt > clock_)
             break;
@@ -739,10 +607,7 @@ ContinuousEngine::iterate(double admit_horizon)
             if (use_cache) {
                 pm = prefix_->commitMatch(r->tenant, r->promptTokens,
                                           clock_);
-                if (pm.tokens > 0)
-                    prefixHitCounter().inc();
-                else
-                    prefixMissCounter().inc();
+                syncPrefixTally();
                 ok = pm.tokens > 0
                          ? pool_->addSequenceWithPrefix(
                                r->id, resident, pm.blocks, pm.tokens)
@@ -806,13 +671,12 @@ ContinuousEngine::iterate(double admit_horizon)
         if (paged && p.swapped) {
             tally_.kvSwapSeconds += pf;
             ++tally_.kvSwapIns;
-            swapInCounter().inc();
             if (tr)
                 tr->complete(lane, "kv.swap", admit_at, clock_,
                              {{"req", static_cast<double>(r->id)},
                               {"dir", 1.0}});
         } else if (!chunk_defer) {
-            prefillCounter().inc();
+            ++tally_.prefills;
             if (tr)
                 tr->complete(
                     lane, "prefill", admit_at, clock_,
@@ -869,15 +733,15 @@ ContinuousEngine::iterate(double admit_horizon)
                                  "shed", clock_);
                 }
             }
-            return;
+            return false;
         }
         clock_ = std::max(clock_, head.readyAt);
-        return;
+        return false;
     }
     if (active_.empty())
-        return; // everything remaining was dropped
+        return false; // everything remaining was dropped
 
-    step();
+    return true;
 }
 
 void
@@ -1058,15 +922,10 @@ ContinuousEngine::applyStep()
 
     if (p.ndecode) {
         ++tally_.decodeSteps;
-        decodeStepCounter().inc();
-        if (spec_) {
+        if (spec_)
             ++tally_.specVerifySteps;
-            specVerifyCounter().inc();
-        }
-        if (!p.slices.empty()) {
+        if (!p.slices.empty())
             ++tally_.mixedSteps;
-            mixedStepCounter().inc();
-        }
     }
     maxActive_ = std::max(maxActive_, active_.size());
     kvUtilSum_ += pool_ ? pool_->utilization() : 0.0;
@@ -1079,10 +938,6 @@ ContinuousEngine::applyStep()
     const bool spec = spec_;
     const bool trim = spec && pool_ && cfg_.kvMode == KvMode::Paged;
     std::uint64_t emitted = 0;
-    std::uint64_t drafted = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t bonus = 0;
-    std::uint64_t rejected = 0;
     std::uint64_t step_prefill_tokens = 0;
     std::size_t next_slice = 0; // slices are in index order
     kvOps_.clear();
@@ -1099,12 +954,8 @@ ContinuousEngine::applyStep()
             tally_.prefillTokensComputed += s.tokens;
             ++tally_.chunkSlices;
             tally_.chunkPrefillTokens += s.tokens;
-            chunkSliceCounter().inc();
-            chunkTokenCounter().add(s.tokens);
-            if (s.forced) {
+            if (s.forced)
                 ++tally_.starvationKicks;
-                starvationCounter().inc();
-            }
             // The final slice landed: the sequence decodes from the
             // next step, its first token completes with this one, and
             // only now is its prompt KV fully computed and worth
@@ -1114,7 +965,7 @@ ContinuousEngine::applyStep()
                     r->firstToken = now;
                     a.lastEmit = now;
                 }
-                prefillCounter().inc();
+                ++tally_.prefills;
                 if (prefix_ && !r->promptTokens.empty()) {
                     prefix_->insert(r->tenant, r->promptTokens,
                                     pool_->blockTable(r->id), now);
@@ -1153,19 +1004,14 @@ ContinuousEngine::applyStep()
                                   a.produced + acc))
                     ++acc;
                 emit = acc + 1;
-                drafted += a.draftK;
-                accepted += acc;
                 tally_.specDraftTokens += a.draftK;
                 tally_.specAccepted += acc;
                 // accepted + rejected + bonus counts every emitted
                 // token exactly once.
-                if (acc == a.draftK) {
+                if (acc == a.draftK)
                     ++tally_.specBonus;
-                    ++bonus;
-                } else {
+                else
                     ++tally_.specRejected;
-                    ++rejected;
-                }
             }
             // Inter-token gap, measured client-side from the previous
             // emission (wherever it happened — before a preemption,
@@ -1209,15 +1055,7 @@ ContinuousEngine::applyStep()
     }
 
     occupancySum_ += static_cast<double>(emitted);
-    if (p.ndecode) {
-        tokenCounter().add(emitted);
-        if (spec_) {
-            specDraftCounter().add(drafted);
-            specAcceptCounter().add(accepted);
-            specRejectCounter().add(rejected);
-            specBonusCounter().add(bonus);
-        }
-    }
+    tally_.emittedTokens += emitted;
     if (pool_) {
         publishKvGauges();
         if (tr)
@@ -1233,6 +1071,7 @@ finalizeRequests(const std::vector<const Request *> &reqs,
                  double ttft_slo, double tpot_slo)
 {
     ServeMetrics m;
+    static_cast<ServeCounters &>(m) = tally;
     m.makespan = makespan;
     std::vector<double> ttft, tpot;
     std::uint64_t tokens = 0;
@@ -1275,40 +1114,8 @@ finalizeRequests(const std::vector<const Request *> &reqs,
                          ? static_cast<double>(m.completed) /
                                static_cast<double>(m.submitted)
                          : 0.0;
-    m.retries = tally.retries;
-    m.shed = tally.shed;
-    m.timedOut = tally.timedOut;
-    m.failed = tally.failed;
-    m.restarts = tally.restarts;
-    m.attestRejections = tally.attestRejections;
-    m.faultDowntime = tally.faultDowntime;
-    m.kvPreemptions = tally.kvPreemptions;
-    m.kvSwapOuts = tally.kvSwapOuts;
-    m.kvSwapIns = tally.kvSwapIns;
-    m.kvSwapSeconds = tally.kvSwapSeconds;
-    m.prefixEnabled = tally.prefixEnabled;
-    m.prefixHits = tally.prefixHits;
-    m.prefixMisses = tally.prefixMisses;
-    m.prefixCachedTokens = tally.prefixCachedTokens;
-    m.prefillTokensComputed = tally.prefillTokensComputed;
-    m.prefixEvictions = tally.prefixEvictions;
-    m.prefixEvictedBlocks = tally.prefixEvictedBlocks;
-    m.prefixPinnedPeak = tally.prefixPinnedPeak;
-    m.chunkedEnabled = tally.chunkedEnabled;
     if (!tally.itlSamples.empty())
         m.itl = summarize(tally.itlSamples, 0.0);
-    m.chunkSlices = tally.chunkSlices;
-    m.chunkPrefillTokens = tally.chunkPrefillTokens;
-    m.mixedSteps = tally.mixedSteps;
-    m.starvationKicks = tally.starvationKicks;
-    m.maxStepPrefillTokens = tally.maxStepPrefillTokens;
-    m.decodeSteps = tally.decodeSteps;
-    m.specEnabled = tally.specEnabled;
-    m.specVerifySteps = tally.specVerifySteps;
-    m.specDraftTokens = tally.specDraftTokens;
-    m.specAccepted = tally.specAccepted;
-    m.specRejected = tally.specRejected;
-    m.specBonus = tally.specBonus;
     return m;
 }
 

@@ -13,6 +13,7 @@
 #ifndef CLLM_SERVE_ENGINE_HH
 #define CLLM_SERVE_ENGINE_HH
 
+#include <array>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -20,6 +21,10 @@
 
 #include "serve/prefix_cache.hh"
 #include "serve/serving.hh"
+
+namespace cllm::obs {
+class Counter;
+}
 
 namespace cllm::serve {
 
@@ -190,6 +195,12 @@ class ContinuousEngine
      */
     bool admitCheck(const Request &r, unsigned produced, double factor,
                     bool swapped);
+    /**
+     * Restart handling and the admission loop of one iteration. False
+     * when the iteration ends without a step (paused at the horizon,
+     * waiting on a blocked queue head, or nothing left to run).
+     */
+    bool admit(double admit_horizon);
     void syncPrefixTally();
     void requeue(Request *r, unsigned attempts,
                  double last_emit = -1.0);
@@ -218,6 +229,8 @@ class ContinuousEngine
      */
     void applyStep();
     void publishKvGauges() const;
+    /** Bring the obs counters up to date with the tally. */
+    void publishCounters();
 
     /** One prefill slice of a step: `tokens` prompt tokens. */
     struct Slice
@@ -262,6 +275,8 @@ class ContinuousEngine
     std::size_t maxActive_ = 0;
     std::size_t steps_ = 0;
     ServeTally tally_{};
+    ServeCounters published_{}; //!< tally as of the last publish
+    std::array<obs::Counter *, kServeCounters.size()> obsCounters_{};
 
     // Admission-pause state: a horizon pause must resume the SAME
     // loop iteration, so the fault snapshot taken at iteration start

@@ -493,61 +493,8 @@ writeMetrics(JsonWriter &json, const ServeMetrics &m)
     json.field("peak_batch_occupancy", m.peakBatchOccupancy);
     json.field("kv_utilization_peak", m.kvUtilizationPeak);
     json.field("kv_utilization_mean", m.kvUtilizationMean);
-    json.field("kv_preemptions", m.kvPreemptions);
-    json.field("kv_swap_outs", m.kvSwapOuts);
-    json.field("kv_swap_ins", m.kvSwapIns);
-    json.field("kv_swap_s", m.kvSwapSeconds);
-    if (m.prefixEnabled) {
-        json.field("prefix_hits", m.prefixHits);
-        json.field("prefix_misses", m.prefixMisses);
-        json.field("prefix_cached_tokens", m.prefixCachedTokens);
-        json.field("prefill_tokens_computed",
-                   m.prefillTokensComputed);
-        json.field("prefix_evictions", m.prefixEvictions);
-        json.field("prefix_evicted_blocks", m.prefixEvictedBlocks);
-        json.field("prefix_pinned_peak_blocks", m.prefixPinnedPeak);
-    }
-    if (m.chunkedEnabled) {
-        json.field("itl_p50_s", m.itl.p50);
-        json.field("itl_p95_s", m.itl.p95);
-        json.field("itl_p99_s", m.itl.p99);
-        json.field("chunk_slices", m.chunkSlices);
-        json.field("chunk_prefill_tokens", m.chunkPrefillTokens);
-        json.field("mixed_steps", m.mixedSteps);
-        json.field("starvation_kicks", m.starvationKicks);
-        json.field("max_step_prefill_tokens", m.maxStepPrefillTokens);
-    }
-    if (m.specEnabled) {
-        json.field("spec_verify_steps", m.specVerifySteps);
-        json.field("spec_draft_tokens", m.specDraftTokens);
-        json.field("spec_accepted_tokens", m.specAccepted);
-        json.field("spec_rejected_tokens", m.specRejected);
-        json.field("spec_bonus_tokens", m.specBonus);
-        // Each per-sequence verify cycle ends in either a bonus
-        // token (k/k accepted) or a rejection resample, so their sum
-        // counts cycles and accepted/cycles is the mean accepted
-        // draft length.
-        json.field("spec_mean_accepted_len",
-                   m.specBonus + m.specRejected
-                       ? static_cast<double>(m.specAccepted) /
-                             static_cast<double>(m.specBonus +
-                                                 m.specRejected)
-                       : 0.0);
-        // ITL is tracked in every mode but emitted by the chunked
-        // block when chunking is on; spec-only runs surface it here.
-        if (!m.chunkedEnabled) {
-            json.field("itl_p50_s", m.itl.p50);
-            json.field("itl_p95_s", m.itl.p95);
-            json.field("itl_p99_s", m.itl.p99);
-        }
-    }
-    json.field("retries", m.retries);
-    json.field("shed", m.shed);
-    json.field("timed_out", m.timedOut);
-    json.field("failed", m.failed);
-    json.field("restarts", m.restarts);
-    json.field("attest_rejections", m.attestRejections);
-    json.field("fault_downtime_s", m.faultDowntime);
+    writeCounters(json, m, m.itl, CounterGroup::Kv,
+                  CounterGroup::Resilience);
     json.key("fault_timeline");
     fault::writeTimeline(json, m.faultTimeline);
     json.endObject();

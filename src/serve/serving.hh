@@ -26,6 +26,7 @@
 #include "llm/perf_cpu.hh"
 #include "llm/perf_gpu.hh"
 #include "mem/kv_paged.hh"
+#include "serve/counters.hh"
 #include "tee/backend.hh"
 #include "tee/session.hh"
 #include "util/stats.hh"
@@ -441,66 +442,16 @@ struct ServerConfig
 };
 
 /**
- * Resilience counters threaded through a run (shared between the
- * Server facade and the incremental ContinuousEngine).
+ * What an engine tallies over a run: the counters, plus every
+ * per-token decode gap (tracked in every mode; summarized as `itl`).
  */
-struct ServeTally
+struct ServeTally : ServeCounters
 {
-    std::size_t retries = 0;
-    std::size_t shed = 0;
-    std::size_t timedOut = 0;
-    std::size_t failed = 0;
-    std::size_t restarts = 0;
-    std::size_t attestRejections = 0;
-    double faultDowntime = 0.0;
-
-    // Paged-KV scheduling (all zero in reserved mode).
-    std::size_t kvPreemptions = 0; //!< sequences evicted mid-decode
-    std::size_t kvSwapOuts = 0;    //!< preemptions that swapped to EPC
-    std::size_t kvSwapIns = 0;     //!< resumes paid as swap-in
-    double kvSwapSeconds = 0.0;    //!< total EPC boundary traffic time
-
-    // Prefix caching (only meaningful when prefixEnabled; the JSON
-    // emitters gate on the flag so off-mode output is byte-stable).
-    bool prefixEnabled = false;
-    std::size_t prefixHits = 0;    //!< admissions reusing cached KV
-    std::size_t prefixMisses = 0;  //!< admissions finding no prefix
-    std::uint64_t prefixCachedTokens = 0;  //!< prefill tokens skipped
-    std::uint64_t prefillTokensComputed = 0; //!< prefill tokens paid
-    std::size_t prefixEvictions = 0;         //!< leaf evictions
-    std::uint64_t prefixEvictedBlocks = 0;
-    std::uint64_t prefixInsertedBlocks = 0;
-    std::uint64_t prefixPinnedPeak = 0;      //!< peak pinned blocks
-
-    // Chunked prefill (counters are only nonzero when chunking is on;
-    // maxStepPrefillTokens and itlSamples are tracked in every mode —
-    // the differential tests compare them across modes — but only
-    // emitted to JSON when chunkedEnabled keeps off-mode byte-stable).
-    bool chunkedEnabled = false;
-    std::size_t chunkSlices = 0;      //!< prefill slices executed
-    std::uint64_t chunkPrefillTokens = 0; //!< tokens across all slices
-    std::size_t mixedSteps = 0;       //!< steps running both phases
-    std::size_t starvationKicks = 0;  //!< forced slices past budget
-    std::uint64_t maxStepPrefillTokens = 0; //!< worst single step
-    std::vector<double> itlSamples;   //!< per-token decode gaps [s]
-
-    // Speculative decoding (counters only move when spec is on; the
-    // JSON emitters gate on the flag so off-mode output stays
-    // byte-stable). Closure invariant in any restart-free run:
-    // specAccepted + specRejected + specBonus == outputTokens.
-    // decodeSteps is tracked in every mode (the spec differential
-    // tests compare it across modes) but never emitted to JSON.
-    std::size_t decodeSteps = 0;       //!< target decode/verify passes
-    bool specEnabled = false;
-    std::size_t specVerifySteps = 0;   //!< propose->verify cycles
-    std::uint64_t specDraftTokens = 0; //!< draft tokens proposed
-    std::uint64_t specAccepted = 0;    //!< draft tokens accepted
-    std::uint64_t specRejected = 0;    //!< rejection-resampled tokens
-    std::uint64_t specBonus = 0;       //!< bonus tokens (k/k accepted)
+    std::vector<double> itlSamples; //!< per-token decode gaps [s]
 };
 
 /** Outcome of serving a trace. */
-struct ServeMetrics
+struct ServeMetrics : ServeCounters
 {
     std::size_t completed = 0;
     double makespan = 0.0;            //!< seconds to drain the trace
@@ -510,58 +461,12 @@ struct ServeMetrics
     double tokensPerSecond = 0.0;     //!< output tokens / makespan
     SampleSummary ttft{};             //!< time to first token
     SampleSummary tpot{};             //!< time per output token
+    SampleSummary itl{};              //!< inter-token decode gaps
     double sloAttainment = 0.0;       //!< fraction meeting both SLOs
     double meanBatchOccupancy = 0.0;  //!< sequences per decode step
-
-    // Resilience accounting (all zero in a fault-free default run,
-    // except submitted/outputTokens/availability which describe it).
     std::size_t submitted = 0;        //!< requests in the trace
     std::uint64_t outputTokens = 0;   //!< tokens of completed requests
     double availability = 0.0;        //!< completed / submitted
-    std::size_t retries = 0;          //!< re-queued admissions
-    std::size_t shed = 0;             //!< rejected under KV pressure
-    std::size_t timedOut = 0;         //!< dropped past their deadline
-    std::size_t failed = 0;           //!< dropped: retry budget spent
-    std::size_t restarts = 0;         //!< enclave restarts survived
-    std::size_t attestRejections = 0; //!< failed admission handshakes
-    double faultDowntime = 0.0;       //!< seconds re-provisioning
-
-    // Paged-KV scheduling (all zero in reserved mode).
-    std::size_t kvPreemptions = 0;
-    std::size_t kvSwapOuts = 0;
-    std::size_t kvSwapIns = 0;
-    double kvSwapSeconds = 0.0;
-
-    // Prefix caching (all zero with prefixMode=off; emitted to JSON
-    // only when prefixEnabled so existing output stays byte-stable).
-    bool prefixEnabled = false;
-    std::size_t prefixHits = 0;
-    std::size_t prefixMisses = 0;
-    std::uint64_t prefixCachedTokens = 0;
-    std::uint64_t prefillTokensComputed = 0;
-    std::size_t prefixEvictions = 0;
-    std::uint64_t prefixEvictedBlocks = 0;
-    std::uint64_t prefixPinnedPeak = 0;
-
-    // Chunked prefill (all zero with chunk mode off; emitted to JSON
-    // only when chunkedEnabled so existing output stays byte-stable).
-    bool chunkedEnabled = false;
-    SampleSummary itl{};              //!< inter-token decode gaps
-    std::size_t chunkSlices = 0;
-    std::uint64_t chunkPrefillTokens = 0;
-    std::size_t mixedSteps = 0;
-    std::size_t starvationKicks = 0;
-    std::uint64_t maxStepPrefillTokens = 0;
-
-    // Speculative decoding (all zero with spec off; emitted to JSON
-    // only when specEnabled so existing output stays byte-stable).
-    std::size_t decodeSteps = 0;      //!< target decode/verify passes
-    bool specEnabled = false;
-    std::size_t specVerifySteps = 0;
-    std::uint64_t specDraftTokens = 0;
-    std::uint64_t specAccepted = 0;
-    std::uint64_t specRejected = 0;
-    std::uint64_t specBonus = 0;
 
     /** Per-event fault timeline (empty without a schedule). */
     std::vector<fault::FaultRecord> faultTimeline;

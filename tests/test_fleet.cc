@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <variant>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -439,6 +440,49 @@ TEST(FleetChunked, AggregationSumsNodesAndGatesJsonKeys)
         << "off-mode fleet JSON must stay byte-identical to the "
            "pre-chunking format";
     EXPECT_EQ(off_js.find("itl_"), std::string::npos);
+}
+
+TEST(FleetRollup, OneNodeFleetCountersEqualTheNodesRowByRow)
+{
+    // A one-node fleet under faults that reject attestations, with
+    // every feature on so nearly every counter moves: each rolled-up
+    // counter must equal the node's own, and the fleet JSON must
+    // carry what the node JSON carries.
+    NodeTemplate node = faultyCpuTemplate();
+    bench::applyPagedKv(node.server, llm::llama2_7b());
+    node.server.prefixMode = serve::PrefixMode::PerTenant;
+    node.server.chunkedPrefill.mode = serve::ChunkMode::DecodePriority;
+    node.server.chunkedPrefill.chunkTokens = 128;
+    node.server.specDecode.enabled = true;
+
+    auto trace = burstyTrace(1.0, 300);
+    serve::applySharedPrefixMix(trace, serve::SharedPrefixMix{});
+    FleetConfig cfg;
+    cfg.seed = 42;
+    cfg.policy = RouterPolicy::Null;
+    cfg.initialNodes = {0};
+    FleetSimulator sim(cfg, {node});
+    const FleetMetrics m = sim.run(trace);
+
+    ASSERT_EQ(m.nodes.size(), 1u);
+    const serve::ServeMetrics &n = m.nodes[0].serve;
+    EXPECT_GT(n.attestRejections, 0u);
+    EXPECT_GT(n.prefixHits, 0u);
+    EXPECT_GT(n.chunkSlices, 0u);
+    EXPECT_GT(n.specVerifySteps, 0u);
+    for (std::size_t i = 0; i < serve::kServeCounters.size(); ++i) {
+        const serve::CounterDef &d = serve::kServeCounters[i];
+        std::visit(
+            [&](auto f) {
+                EXPECT_EQ(m.*f, n.*f)
+                    << "row " << i << " " << (d.json ? d.json : "");
+            },
+            d.member);
+    }
+    const std::string js = fleetJson(m);
+    for (const char *key : {"\"attest_rejections\":", "\"itl_p99_s\":",
+                            "\"spec_mean_accepted_len\":"})
+        EXPECT_NE(js.find(key), std::string::npos) << key;
 }
 
 TEST(FleetGolden, MixedFleetMatchesGolden)

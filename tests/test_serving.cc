@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -669,4 +672,150 @@ TEST(ServerTracing, AttachedTracerDoesNotPerturbMetrics)
     obs::Tracer off(obs::TraceMode::Off);
     EXPECT_EQ(runJson(&off), untraced);
     EXPECT_TRUE(off.simEvents().empty());
+}
+
+namespace {
+
+/** A row's name for failure messages: its JSON key or obs name. */
+std::string
+rowName(const CounterDef &d, std::size_t i)
+{
+    return d.json ? d.json : d.obs ? d.obs : "row " + std::to_string(i);
+}
+
+std::string
+countersJson(const ServeMetrics &m)
+{
+    std::ostringstream os;
+    {
+        JsonWriter json(os);
+        writeMetrics(json, m);
+    }
+    return os.str();
+}
+
+} // namespace
+
+TEST(CounterTable, KeysAndObsNamesAreUniqueAndRowsFollowTheStruct)
+{
+    std::set<std::string> json, obs;
+    const ServeCounters c{};
+    const auto *base = reinterpret_cast<const char *>(&c);
+    std::ptrdiff_t prev = -1;
+    for (std::size_t i = 0; i < kServeCounters.size(); ++i) {
+        const CounterDef &d = kServeCounters[i];
+        if (d.json)
+            EXPECT_TRUE(json.insert(d.json).second) << d.json;
+        if (d.obs)
+            EXPECT_TRUE(obs.insert(d.obs).second) << d.obs;
+        // Only integer counters can feed an obs counter.
+        if (d.obs)
+            EXPECT_TRUE(std::holds_alternative<
+                        std::uint64_t ServeCounters::*>(d.member))
+                << d.obs;
+        const std::ptrdiff_t offset = std::visit(
+            [&](auto m) {
+                return reinterpret_cast<const char *>(&(c.*m)) - base;
+            },
+            d.member);
+        EXPECT_LT(prev, offset) << rowName(d, i) << " out of struct order";
+        prev = offset;
+    }
+    EXPECT_FALSE(json.count("itl_p50_s"));
+    EXPECT_FALSE(json.count("spec_mean_accepted_len"));
+}
+
+TEST(CounterTable, MergeFollowsEachRowsRollupRule)
+{
+    // Distinct per-row values; the larger side alternates, so a Max
+    // row taking either side's value, or a Sum row taking the max,
+    // shows up.
+    ServeCounters a{}, b{};
+    for (std::size_t i = 0; i < kServeCounters.size(); ++i) {
+        std::visit(
+            [&](auto m) {
+                using T = std::remove_reference_t<decltype(a.*m)>;
+                if constexpr (std::is_same_v<T, bool>) {
+                    a.*m = i % 2 == 0;
+                    b.*m = i % 2 == 1;
+                } else {
+                    a.*m = static_cast<T>(i % 2 ? 3 * i + 1 : 5 * i + 40);
+                    b.*m = static_cast<T>(i % 2 ? 4 * i + 20 : 2 * i + 3);
+                }
+            },
+            kServeCounters[i].member);
+    }
+    ServeCounters merged = a;
+    mergeCounters(merged, b);
+    for (std::size_t i = 0; i < kServeCounters.size(); ++i) {
+        const CounterDef &d = kServeCounters[i];
+        std::visit(
+            [&](auto m) {
+                switch (d.rollup) {
+                  case Rollup::Sum:
+                    EXPECT_EQ(merged.*m, a.*m + b.*m) << rowName(d, i);
+                    break;
+                  case Rollup::Max:
+                    EXPECT_EQ(merged.*m, std::max(a.*m, b.*m))
+                        << rowName(d, i);
+                    break;
+                  case Rollup::Any:
+                    EXPECT_EQ(merged.*m, a.*m || b.*m) << rowName(d, i);
+                    break;
+                }
+            },
+            d.member);
+    }
+    ServeCounters off{};
+    mergeCounters(off, ServeCounters{});
+    EXPECT_FALSE(off.prefixEnabled || off.chunkedEnabled ||
+                 off.specEnabled);
+}
+
+TEST(CounterTable, GatedKeysAppearExactlyWhenTheirFlagIsSet)
+{
+    for (const CounterDef &flag : kServeCounters) {
+        if (flag.rollup != Rollup::Any)
+            continue;
+        const auto on = std::get<bool ServeCounters::*>(flag.member);
+        for (const bool set : {false, true}) {
+            ServeMetrics m;
+            m.*on = set;
+            const std::string js = countersJson(m);
+            for (std::size_t i = 0; i < kServeCounters.size(); ++i) {
+                const CounterDef &d = kServeCounters[i];
+                if (!d.json)
+                    continue;
+                const bool shown = d.group != flag.group
+                                       ? groupEnabled(m, d.group)
+                                       : set;
+                EXPECT_EQ(js.find('"' + std::string(d.json) + "\":") !=
+                              std::string::npos,
+                          shown)
+                    << rowName(d, i) << " with flag " << set;
+            }
+        }
+    }
+    // Ungated groups always emit.
+    const std::string js = countersJson(ServeMetrics{});
+    for (const CounterDef &d : kServeCounters)
+        if (d.json && (d.group == CounterGroup::Kv ||
+                       d.group == CounterGroup::Resilience))
+            EXPECT_NE(js.find('"' + std::string(d.json) + "\":"),
+                      std::string::npos)
+                << d.json;
+}
+
+TEST(CounterTable, DerivedRatios)
+{
+    ServeCounters c{};
+    EXPECT_EQ(specMeanAcceptedLen(c), 0.0);
+    EXPECT_EQ(prefixHitRate(c), 0.0);
+    c.specAccepted = 9;
+    c.specBonus = 1;
+    c.specRejected = 3;
+    EXPECT_DOUBLE_EQ(specMeanAcceptedLen(c), 9.0 / 4.0);
+    c.prefixHits = 3;
+    c.prefixMisses = 1;
+    EXPECT_DOUBLE_EQ(prefixHitRate(c), 0.75);
 }
