@@ -270,20 +270,6 @@ parsePrefixArg(PrefixOptions &opt, int argc, char **argv, int &i)
     return false;
 }
 
-/** The shared-system-prompt arrival mix the prefix studies replay. */
-inline serve::SharedPrefixMix
-sharedPromptMix()
-{
-    return serve::SharedPrefixMix{};
-}
-
-/** Apply parsed prefix options to a server config. */
-inline void
-applyPrefixCache(serve::ServerConfig &cfg, const PrefixOptions &opt)
-{
-    cfg.prefixMode = opt.mode;
-}
-
 /**
  * Chunked-prefill options shared by `serve_slo` and
  * `fleet_capacity`. Defaults leave chunking off, so a

@@ -672,9 +672,9 @@ runSloMode(const bench::ChunkOptions &copt,
         for (auto &d : deployments) {
             ServerConfig cfg;
             cfg.policy = policy;
-            // Chunked prefill and speculative decoding require
-            // continuous batching; the static-batch rows stay
-            // monolithic and non-speculative.
+            // The static-batch rows are the paper's fixed-batch
+            // baseline, so they stay monolithic and non-speculative
+            // by choice; the engine would serve either feature.
             if (policy == BatchPolicy::Continuous) {
                 bench::applyChunkedPrefill(cfg, copt);
                 if (sopt.enabled)

@@ -46,64 +46,11 @@ ContinuousEngine::ContinuousEngine(const StepModel &step,
     : step_(&step), cfg_(cfg), inj_(cfg_.faults)
 {
     inj_.setTrace(cfg_.tracer, cfg_.traceLane);
-    if (cfg_.maxBatch == 0)
-        cllm_fatal("ContinuousEngine: zero batch capacity");
-    if (cfg_.policy != BatchPolicy::Continuous)
-        cllm_fatal("ContinuousEngine: requires continuous batching");
-    if (!cfg_.faults.empty() && cfg_.resilience.retryBackoff <= 0.0)
-        cllm_fatal("ContinuousEngine: fault injection requires a "
-                   "positive retry backoff");
-    if (cfg_.resilience.backoffMultiplier < 1.0)
-        cllm_fatal("ContinuousEngine: backoff multiplier below 1");
-    if (cfg_.resilience.shedOnKvPressure &&
-        (cfg_.resilience.shedThreshold <= 0.0 ||
-         cfg_.resilience.shedThreshold > 1.0))
-        cllm_fatal("ContinuousEngine: shed threshold outside (0, 1]");
-    if (cfg_.kvMode == KvMode::Paged) {
-        if (cfg_.kvBlocks == 0)
-            cllm_fatal("ContinuousEngine: paged KV requires a "
-                       "bounded pool");
-        if (cfg_.paged.minFreeBlocks >= cfg_.kvBlocks)
-            cllm_fatal("ContinuousEngine: paged KV watermark "
-                       "swallows the pool");
-        if (cfg_.paged.preempt == KvPreemptPolicy::SwapToEpc &&
-            cfg_.paged.kvBytesPerToken <= 0.0)
-            cllm_fatal("ContinuousEngine: swap preemption requires "
-                       "KV bytes per token");
-    }
-    if (cfg_.prefixMode != PrefixMode::Off &&
-        cfg_.kvMode != KvMode::Paged)
-        cllm_fatal("ContinuousEngine: prefix caching requires paged "
-                   "KV");
-    if (cfg_.chunkedPrefill.mode != ChunkMode::Off) {
-        if (cfg_.chunkedPrefill.chunkTokens == 0)
-            cllm_fatal("ContinuousEngine: zero chunk size");
-        if (cfg_.chunkedPrefill.stepTokenBudget != 0 &&
-            cfg_.chunkedPrefill.stepTokenBudget <
-                cfg_.chunkedPrefill.chunkTokens)
-            cllm_fatal("ContinuousEngine: step token budget below "
-                       "the chunk size");
-        if (cfg_.chunkedPrefill.starvationIters == 0)
-            cllm_fatal("ContinuousEngine: zero starvation-guard "
-                       "window");
-        chunked_ = true;
-        tally_.chunkedEnabled = true;
-    }
-    if (cfg_.specDecode.enabled) {
-        if (cfg_.specDecode.draftTokens == 0)
-            cllm_fatal("ContinuousEngine: speculative decoding with "
-                       "zero draft tokens");
-        if (cfg_.specDecode.draftCostRatio <= 0.0 ||
-            cfg_.specDecode.draftCostRatio >= 1.0)
-            cllm_fatal("ContinuousEngine: draft cost ratio outside "
-                       "(0, 1)");
-        if (cfg_.specDecode.acceptProb < 0.0 ||
-            cfg_.specDecode.acceptProb > 1.0)
-            cllm_fatal("ContinuousEngine: acceptance probability "
-                       "outside [0, 1]");
-        spec_ = true;
-        tally_.specEnabled = true;
-    }
+    validate(cfg_);
+    chunked_ = cfg_.chunkedPrefill.mode != ChunkMode::Off;
+    spec_ = cfg_.specDecode.enabled;
+    tally_.chunkedEnabled = chunked_;
+    tally_.specEnabled = spec_;
     if (cfg_.kvBlocks)
         pool_.emplace(
             mem::PagedKvConfig{cfg_.kvBlocks, cfg_.kvBlockTokens});
@@ -475,15 +422,18 @@ ContinuousEngine::admit(double admit_horizon)
     const ResiliencePolicy &rp = cfg_.resilience;
     obs::Tracer *tr = simTracer(cfg_);
     const std::uint32_t lane = cfg_.traceLane;
+    const bool fixed = cfg_.policy == BatchPolicy::Static;
 
     double kv_factor = 1.0;
     unsigned max_batch = cfg_.maxBatch;
+    double opened = clock_;
     if (inAdmission_) {
         // Resuming a horizon-paused admission loop: keep the fault
         // snapshot sampled when this iteration started.
         inAdmission_ = false;
         kv_factor = admitKvFactor_;
         max_batch = admitMaxBatch_;
+        opened = admitOpened_;
     } else {
         // Enclave/TD restarts wipe everything in secure memory: the
         // KV pool, the weights, the attested session state. Pay the
@@ -522,21 +472,29 @@ ContinuousEngine::admit(double admit_horizon)
             max_batch = std::max(
                 1u, std::min(max_batch, rp.degradedMaxBatch));
         }
+        opened = clock_;
+        // Static batching admits nothing while a batch runs.
+        if (fixed && !active_.empty())
+            max_batch = 0;
     }
 
     // Admit arrivals up to batch and KV capacity; prefill on
     // admission, reserving the full context worth of blocks. Pause
     // (without stepping) once the clock reaches the caller's horizon:
     // a not-yet-submitted request has become eligible and must enter
-    // the queue before any later-ready request is admitted.
+    // the queue before any later-ready request is admitted. A static
+    // batch takes only requests ready when it opened; arrivals during
+    // its prefills wait for the next batch.
     while (active_.size() < max_batch) {
         if (clock_ >= admit_horizon) {
             inAdmission_ = true;
             admitKvFactor_ = kv_factor;
             admitMaxBatch_ = max_batch;
+            admitOpened_ = opened;
             return false;
         }
-        if (pending_.empty() || pending_.top().readyAt > clock_)
+        if (pending_.empty() ||
+            pending_.top().readyAt > (fixed ? opened : clock_))
             break;
         const PendingReq p = pending_.top();
         // Deadline: reject queued work already past its budget. A

@@ -1,13 +1,11 @@
 /**
  * @file
- * Incremental continuous-batching engine: the core simulation loop of
- * `serve::Server`, restructured so callers drive it one iteration at a
- * time instead of replaying a whole trace in one call. `Server` keeps
- * its exact batch-granularity semantics (it submits the full trace and
- * iterates to quiescence — bit-identical to the pre-refactor loop),
- * while the fleet simulator (`src/fleet`) feeds requests in as a
- * router dispatches them and interleaves many engines under one
- * discrete-event clock.
+ * Incremental serving engine: the one simulation loop of
+ * `serve::Server`, for static and continuous batching alike, driven
+ * one iteration at a time. `Server` submits the full trace and
+ * iterates to quiescence, while the fleet simulator (`src/fleet`)
+ * feeds requests in as a router dispatches them and interleaves many
+ * engines under one discrete-event clock.
  */
 
 #ifndef CLLM_SERVE_ENGINE_HH
@@ -29,11 +27,15 @@ class Counter;
 namespace cllm::serve {
 
 /**
- * One continuous-batching server simulation, driven iteration by
- * iteration. Construction validates the config the same way Server
- * does; `submit` enqueues a request for admission at `ready_at`;
- * `iterate` performs one loop iteration (restart handling, admission,
- * then either a time advance or one engine step).
+ * One server simulation, driven iteration by iteration. Construction
+ * validates the config; `submit` enqueues a request for admission at
+ * `ready_at`; `iterate` performs one loop iteration (restart handling,
+ * admission, then either a time advance or one engine step).
+ *
+ * The batching policy is an admission rule. Continuous batching admits
+ * at every iteration whatever is ready by the running clock. Static
+ * batching admits only into an empty batch, and only requests ready
+ * when that batch opens; everything after admission is shared.
  *
  * Every engine step — plain decode, a speculative propose->verify
  * cycle, or a chunked mixed prefill/decode step — runs the same three
@@ -285,6 +287,7 @@ class ContinuousEngine
     bool inAdmission_ = false;
     double admitKvFactor_ = 1.0;
     unsigned admitMaxBatch_ = 0;
+    double admitOpened_ = 0.0; //!< clock when the admission loop began
 
     StepPlan plan_;
     std::vector<KvOp> kvOps_;

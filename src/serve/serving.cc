@@ -292,73 +292,62 @@ makeGpuStepModel(const hw::GpuSpec &gpu, bool confidential,
         llm::GpuStepKernel(gpu, confidential, model, dtype));
 }
 
+void
+validate(const ServerConfig &cfg)
+{
+    if (cfg.maxBatch == 0)
+        cllm_fatal("ServerConfig: zero batch capacity");
+    if (!cfg.faults.empty() && cfg.resilience.retryBackoff <= 0.0)
+        cllm_fatal("ServerConfig: fault injection requires a positive "
+                   "retry backoff");
+    if (cfg.resilience.backoffMultiplier < 1.0)
+        cllm_fatal("ServerConfig: backoff multiplier below 1");
+    if (cfg.resilience.shedOnKvPressure &&
+        (cfg.resilience.shedThreshold <= 0.0 ||
+         cfg.resilience.shedThreshold > 1.0))
+        cllm_fatal("ServerConfig: shed threshold outside (0, 1]");
+    if (cfg.kvMode == KvMode::Paged) {
+        if (cfg.kvBlocks == 0)
+            cllm_fatal("ServerConfig: paged KV requires a bounded pool");
+        if (cfg.paged.minFreeBlocks >= cfg.kvBlocks)
+            cllm_fatal("ServerConfig: paged KV watermark swallows the "
+                       "pool");
+        if (cfg.paged.preempt == KvPreemptPolicy::SwapToEpc &&
+            cfg.paged.kvBytesPerToken <= 0.0)
+            cllm_fatal("ServerConfig: swap preemption requires KV bytes "
+                       "per token");
+    }
+    if (cfg.prefixMode != PrefixMode::Off && cfg.kvMode != KvMode::Paged)
+        cllm_fatal("ServerConfig: prefix caching requires paged KV");
+    const ChunkedPrefillPolicy &cp = cfg.chunkedPrefill;
+    if (cp.mode != ChunkMode::Off) {
+        if (cp.chunkTokens == 0)
+            cllm_fatal("ServerConfig: zero chunk size");
+        if (cp.stepTokenBudget != 0 && cp.stepTokenBudget < cp.chunkTokens)
+            cllm_fatal("ServerConfig: step token budget below the chunk "
+                       "size");
+        if (cp.starvationIters == 0)
+            cllm_fatal("ServerConfig: zero starvation-guard window");
+    }
+    const SpecDecodePolicy &sp = cfg.specDecode;
+    if (sp.enabled) {
+        if (sp.draftTokens == 0)
+            cllm_fatal("ServerConfig: speculative decoding with zero "
+                       "draft tokens");
+        if (sp.draftCostRatio <= 0.0 || sp.draftCostRatio >= 1.0)
+            cllm_fatal("ServerConfig: draft cost ratio outside (0, 1)");
+        if (sp.acceptProb < 0.0 || sp.acceptProb > 1.0)
+            cllm_fatal("ServerConfig: acceptance probability outside "
+                       "[0, 1]");
+    }
+}
+
 Server::Server(std::unique_ptr<StepModel> step, ServerConfig cfg)
     : step_(std::move(step)), cfg_(std::move(cfg))
 {
     if (!step_)
         cllm_fatal("Server requires a step model");
-    if (cfg_.maxBatch == 0)
-        cllm_fatal("Server: zero batch capacity");
-    if (!cfg_.faults.empty()) {
-        if (cfg_.policy == BatchPolicy::Static)
-            cllm_fatal("Server: fault injection requires continuous "
-                       "batching");
-        if (cfg_.resilience.retryBackoff <= 0.0)
-            cllm_fatal("Server: fault injection requires a positive "
-                       "retry backoff");
-    }
-    if (cfg_.resilience.backoffMultiplier < 1.0)
-        cllm_fatal("Server: backoff multiplier below 1");
-    if (cfg_.resilience.shedOnKvPressure &&
-        (cfg_.resilience.shedThreshold <= 0.0 ||
-         cfg_.resilience.shedThreshold > 1.0))
-        cllm_fatal("Server: shed threshold outside (0, 1]");
-    if (cfg_.kvMode == KvMode::Paged) {
-        if (cfg_.policy == BatchPolicy::Static)
-            cllm_fatal("Server: paged KV requires continuous "
-                       "batching");
-        if (cfg_.kvBlocks == 0)
-            cllm_fatal("Server: paged KV requires a bounded pool");
-        if (cfg_.paged.minFreeBlocks >= cfg_.kvBlocks)
-            cllm_fatal("Server: paged KV watermark swallows the "
-                       "pool");
-        if (cfg_.paged.preempt == KvPreemptPolicy::SwapToEpc &&
-            cfg_.paged.kvBytesPerToken <= 0.0)
-            cllm_fatal("Server: swap preemption requires KV bytes "
-                       "per token");
-    }
-    if (cfg_.prefixMode != PrefixMode::Off &&
-        cfg_.kvMode != KvMode::Paged)
-        cllm_fatal("Server: prefix caching requires paged KV");
-    if (cfg_.chunkedPrefill.mode != ChunkMode::Off) {
-        if (cfg_.policy == BatchPolicy::Static)
-            cllm_fatal("Server: chunked prefill requires continuous "
-                       "batching");
-        if (cfg_.chunkedPrefill.chunkTokens == 0)
-            cllm_fatal("Server: zero chunk size");
-        if (cfg_.chunkedPrefill.stepTokenBudget != 0 &&
-            cfg_.chunkedPrefill.stepTokenBudget <
-                cfg_.chunkedPrefill.chunkTokens)
-            cllm_fatal("Server: step token budget below the chunk "
-                       "size");
-        if (cfg_.chunkedPrefill.starvationIters == 0)
-            cllm_fatal("Server: zero starvation-guard window");
-    }
-    if (cfg_.specDecode.enabled) {
-        if (cfg_.policy == BatchPolicy::Static)
-            cllm_fatal("Server: speculative decoding requires "
-                       "continuous batching");
-        if (cfg_.specDecode.draftTokens == 0)
-            cllm_fatal("Server: speculative decoding with zero draft "
-                       "tokens");
-        if (cfg_.specDecode.draftCostRatio <= 0.0 ||
-            cfg_.specDecode.draftCostRatio >= 1.0)
-            cllm_fatal("Server: draft cost ratio outside (0, 1)");
-        if (cfg_.specDecode.acceptProb < 0.0 ||
-            cfg_.specDecode.acceptProb > 1.0)
-            cllm_fatal("Server: acceptance probability outside "
-                       "[0, 1]");
-    }
+    validate(cfg_);
 }
 
 ServeMetrics
@@ -378,100 +367,22 @@ Server::run(std::vector<Request> trace,
               [](const Request &a, const Request &b) {
                   return a.arrival < b.arrival;
               });
-    ServeMetrics m = cfg_.policy == BatchPolicy::Static
-                         ? runStatic(trace)
-                         : runContinuous(trace);
-    annotated = std::move(trace);
-    return m;
-}
-
-ServeMetrics
-Server::runStatic(std::vector<Request> &trace) const
-{
-    double clock = 0.0;
-    double occupancy_sum = 0.0;
-    unsigned peak_active = 0;
-    std::size_t steps = 0;
-    std::size_t next = 0;
-
-    while (next < trace.size()) {
-        // Form the next batch from queued arrivals.
-        clock = std::max(clock, trace[next].arrival);
-        std::vector<Request *> batch;
-        while (next < trace.size() && batch.size() < cfg_.maxBatch &&
-               trace[next].arrival <= clock) {
-            batch.push_back(&trace[next]);
-            ++next;
-        }
-
-        // Prefill everyone, then decode until the whole batch drains.
-        for (Request *r : batch) {
-            clock += step_->prefill(r->inLen);
-            r->firstToken = clock;
-        }
-        unsigned max_out = 0;
-        for (Request *r : batch)
-            max_out = std::max(max_out, r->outLen);
-        for (unsigned t = 0; t < max_out; ++t) {
-            unsigned active = 0;
-            double avg_pos = 0.0;
-            for (Request *r : batch) {
-                if (t < r->outLen) {
-                    ++active;
-                    avg_pos += r->inLen + t;
-                }
-            }
-            if (active == 0)
-                break;
-            avg_pos /= active;
-            clock += step_->decodeStep(active, avg_pos);
-            occupancy_sum += active;
-            peak_active = std::max(peak_active, active);
-            ++steps;
-            for (Request *r : batch) {
-                if (t + 1 == r->outLen)
-                    r->finish = clock;
-            }
-        }
-    }
-    ServeMetrics m =
-        finalize(trace, clock, occupancy_sum, steps, ServeTally{});
-    m.peakBatchOccupancy = peak_active;
-    return m;
-}
-
-ServeMetrics
-Server::runContinuous(std::vector<Request> &trace) const
-{
-    // The loop itself lives in ContinuousEngine so the fleet layer
-    // can drive the identical simulation incrementally; submitting
-    // the whole trace up front and iterating to quiescence is
-    // bit-identical to the historical in-place loop.
+    // Submitting the whole trace up front and iterating to quiescence
+    // is the same simulation the fleet layer drives incrementally.
     ContinuousEngine eng(*step_, cfg_);
     for (Request &r : trace)
         eng.submit(&r, r.arrival, 0);
     while (!eng.idle())
         eng.iterate();
-    ServeMetrics m = finalize(trace, eng.clock(), eng.occupancySum(),
-                              eng.steps(), eng.tally());
+    ServeMetrics m = finalizeRequests(
+        eng.submitted(), eng.clock(), eng.occupancySum(), eng.steps(),
+        eng.tally(), cfg_.ttftSlo, cfg_.tpotSlo);
     m.kvUtilizationPeak = eng.kvPeak();
     m.kvUtilizationMean = eng.kvUtilizationMean();
     m.peakBatchOccupancy = static_cast<double>(eng.peakBatch());
     m.faultTimeline = eng.timeline();
+    annotated = std::move(trace);
     return m;
-}
-
-ServeMetrics
-Server::finalize(const std::vector<Request> &trace, double makespan,
-                 double occupancy_sum, std::size_t steps,
-                 const ServeTally &tally) const
-{
-    std::vector<const Request *> reqs;
-    reqs.reserve(trace.size());
-    for (const Request &r : trace)
-        reqs.push_back(&r);
-    return finalizeRequests(reqs, makespan, occupancy_sum, steps,
-                            tally, cfg_.ttftSlo, cfg_.tpotSlo);
 }
 
 

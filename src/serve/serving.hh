@@ -131,7 +131,11 @@ void applySharedPrefixMix(std::vector<Request> &trace,
 /** Batching policies. */
 enum class BatchPolicy
 {
-    Static,     //!< form a batch, run it to completion, repeat
+    /**
+     * Fixed batches: admit only into an empty batch, and only requests
+     * already queued when it opens; run it to completion, repeat.
+     */
+    Static,
     Continuous, //!< admit new requests at step granularity (vLLM-like)
 };
 
@@ -401,27 +405,21 @@ struct ServerConfig
     PrefixCachePolicy prefix{};
 
     /**
-     * Chunked prefill + mixed prefill/decode batching. Requires
-     * continuous batching; Off leaves every output byte-identical to
-     * a build without the feature.
+     * Chunked prefill + mixed prefill/decode batching. Off leaves
+     * every output byte-identical to a build without the feature.
      */
     ChunkedPrefillPolicy chunkedPrefill{};
 
     /**
-     * Speculative decoding (draft + fused verify steps). Requires
-     * continuous batching; off leaves every output byte-identical to
-     * a build without the feature.
+     * Speculative decoding (draft + fused verify steps). Off leaves
+     * every output byte-identical to a build without the feature.
      */
     SpecDecodePolicy specDecode{};
 
     /** Fault/overload response; defaults are all off. */
     ResiliencePolicy resilience{};
 
-    /**
-     * Faults to inject (empty = fault-free). Requires continuous
-     * batching: a static-batch server cannot react at step
-     * granularity.
-     */
+    /** Faults to inject (empty = fault-free). */
     fault::FaultSchedule faults{};
 
     /** Downtime charged per enclave restart. */
@@ -440,6 +438,9 @@ struct ServerConfig
     obs::Tracer *tracer = nullptr;
     std::uint32_t traceLane = 0;
 };
+
+/** Fatal on any inconsistent ServerConfig field. */
+void validate(const ServerConfig &cfg);
 
 /**
  * What an engine tallies over a run: the counters, plus every
@@ -559,8 +560,8 @@ std::unique_ptr<StepModel> makeGpuStepModel(const hw::GpuSpec &gpu,
                                             hw::Dtype dtype);
 
 /**
- * The serving simulator: replays a trace against a step model under a
- * batching policy and reports SLO metrics.
+ * The serving simulator: replays a trace through one ContinuousEngine
+ * under a batching policy and reports SLO metrics.
  */
 class Server
 {
@@ -581,13 +582,6 @@ class Server
     const ServerConfig &config() const { return cfg_; }
 
   private:
-    ServeMetrics runStatic(std::vector<Request> &trace) const;
-    ServeMetrics runContinuous(std::vector<Request> &trace) const;
-    ServeMetrics finalize(const std::vector<Request> &trace,
-                          double makespan, double occupancy_sum,
-                          std::size_t steps,
-                          const ServeTally &tally) const;
-
     std::unique_ptr<StepModel> step_;
     ServerConfig cfg_;
 };

@@ -392,10 +392,3 @@ TEST(ChunkDeath, ZeroStarvationWindowIsFatal)
     cfg.chunkedPrefill.starvationIters = 0;
     EXPECT_DEATH(Server(cpuModel(), cfg), "starvation");
 }
-
-TEST(ChunkDeath, ChunkingRequiresContinuousBatching)
-{
-    ServerConfig cfg = chunkedConfig(ChunkMode::DecodePriority, 256);
-    cfg.policy = BatchPolicy::Static;
-    EXPECT_DEATH(Server(cpuModel(), cfg), "continuous");
-}

@@ -138,8 +138,9 @@ TEST(FaultSchedule, SortedAndWithinHorizon)
     for (std::size_t i = 0; i < s.size(); ++i) {
         EXPECT_GE(s.events()[i].time, 0.0);
         EXPECT_LT(s.events()[i].time, 400.0);
-        if (i)
+        if (i) {
             EXPECT_GE(s.events()[i].time, s.events()[i - 1].time);
+        }
     }
 }
 
@@ -431,14 +432,25 @@ TEST(FaultServing, EpcStormStretchesMakespan)
     EXPECT_GT(mw.makespan, mo.makespan * 1.5);
 }
 
-TEST(FaultServingDeath, StaticPolicyRejectsFaults)
+// A static batch rides the same engine as a continuous one: a restart
+// wipes the running batch, its requests retry in a later batch, and
+// every request still completes.
+TEST(FaultServing, StaticBatchRetriesThroughEnclaveRestart)
 {
     FaultSchedule s;
-    s.add({FaultKind::EnclaveRestart, 1.0, 0.0, 0.0});
+    s.add({FaultKind::EnclaveRestart, 10.0, 0.0, 0.0});
     ServerConfig cfg;
     cfg.policy = BatchPolicy::Static;
     cfg.faults = s;
-    EXPECT_DEATH(Server(tdxModel(), cfg), "continuous");
+    cfg.weightBytes = 1ULL << 30;
+    const auto m =
+        Server(tdxModel(), cfg).run(generateWorkload(faultLoad()));
+    EXPECT_EQ(m.restarts, 1u);
+    EXPECT_GT(m.retries, 0u);
+    EXPECT_EQ(m.completed, m.submitted);
+    EXPECT_EQ(m.failed, 0u);
+    EXPECT_DOUBLE_EQ(m.faultDowntime,
+                     cfg.reprovision.seconds(cfg.weightBytes));
 }
 
 TEST(FaultServingDeath, FaultsRequirePositiveBackoff)

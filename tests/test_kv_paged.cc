@@ -36,6 +36,17 @@ using namespace cllm::serve;
 
 namespace {
 
+Request
+request(unsigned id, double arrival, unsigned in_len, unsigned out_len)
+{
+    Request r;
+    r.id = id;
+    r.arrival = arrival;
+    r.inLen = in_len;
+    r.outLen = out_len;
+    return r;
+}
+
 std::shared_ptr<const tee::TeeBackend>
 shared(std::unique_ptr<tee::TeeBackend> p)
 {
@@ -290,9 +301,9 @@ TEST(KvDifferential, TightPoolPagedRunsDenserAndFinishesSooner)
 TEST(KvDifferential, NeverFittingRequestsShedIdentically)
 {
     std::vector<Request> trace(3);
-    trace[0] = {0, 0.0, 100, 50};
-    trace[1] = {1, 0.1, 400, 200}; // 600 tokens vs 512-token pool
-    trace[2] = {2, 0.2, 64, 32};
+    trace[0] = request(0, 0.0, 100, 50);
+    trace[1] = request(1, 0.1, 400, 200); // 600 tokens vs 512-token pool
+    trace[2] = request(2, 0.2, 64, 32);
 
     for (const bool paged : {false, true}) {
         ServerConfig cfg =
@@ -316,8 +327,8 @@ TEST(KvDifferential, NeverFittingRequestsShedIdentically)
 TEST(KvDifferential, WatermarkTightensTheAdmissibleSet)
 {
     std::vector<Request> trace(2);
-    trace[0] = {0, 0.0, 20, 10}; // 2 blocks + 4 headroom: fits
-    trace[1] = {1, 0.1, 40, 30}; // 5 blocks + 4 headroom: never fits
+    trace[0] = request(0, 0.0, 20, 10); // 2 blocks + 4 headroom: fits
+    trace[1] = request(1, 0.1, 40, 30); // 5 blocks + 4 headroom: never fits
 
     ServerConfig cfg = pagedConfig(8);
     cfg.paged.minFreeBlocks = 4;
@@ -456,12 +467,6 @@ TEST(KvDeterminism, RepeatRunsAreByteIdentical)
 
 TEST(KvValidation, PagedConfigIsValidatedUpFront)
 {
-    {
-        ServerConfig cfg = pagedConfig(64);
-        cfg.policy = BatchPolicy::Static;
-        EXPECT_DEATH(Server(cpuModel(tee::makeTdx()), cfg),
-                     "continuous");
-    }
     {
         ServerConfig cfg = pagedConfig(0);
         EXPECT_DEATH(Server(cpuModel(tee::makeTdx()), cfg),

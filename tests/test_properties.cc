@@ -469,8 +469,8 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- Serving-engine accounting across KV modes and pool sizes ----------
 
 using KvEngineCase = std::tuple<serve::KvMode, std::uint64_t, unsigned,
-                                serve::ChunkMode>;
-// (mode, kvBlocks, workload seed, prefill scheduling)
+                                serve::ChunkMode, serve::BatchPolicy>;
+// (mode, kvBlocks, workload seed, prefill scheduling, batching)
 
 class KvEngineGrid : public ::testing::TestWithParam<KvEngineCase>
 {
@@ -508,11 +508,12 @@ engineGridTrace(unsigned seed)
 }
 
 serve::ServerConfig
-engineGridConfig(serve::KvMode mode, std::uint64_t blocks,
-                 serve::ChunkMode chunk)
+engineGridConfig(
+    serve::KvMode mode, std::uint64_t blocks, serve::ChunkMode chunk,
+    serve::BatchPolicy policy = serve::BatchPolicy::Continuous)
 {
     serve::ServerConfig cfg;
-    cfg.policy = serve::BatchPolicy::Continuous;
+    cfg.policy = policy;
     cfg.maxBatch = 16;
     cfg.kvBlocks = blocks;
     cfg.kvBlockTokens = 16;
@@ -521,6 +522,13 @@ engineGridConfig(serve::KvMode mode, std::uint64_t blocks,
     cfg.chunkedPrefill.mode = chunk;
     cfg.chunkedPrefill.chunkTokens = 48;
     return cfg;
+}
+
+/** Grid test-name suffix; continuous cases stay unsuffixed. */
+std::string
+policySuffix(serve::BatchPolicy policy)
+{
+    return policy == serve::BatchPolicy::Static ? "_static" : "";
 }
 
 /**
@@ -554,17 +562,18 @@ iterateCheckingClosure(serve::ContinuousEngine &eng)
 
 } // namespace
 
-// For every (discipline x pool size x trace): request accounting
-// sums, output tokens match completed requests exactly, and — the
-// paged scheduler's core guarantee — preemption never re-emits a
-// token (batch-slot steps == output tokens in a fault-free run).
+// For every (discipline x pool size x trace x batching): request
+// accounting sums, output tokens match completed requests exactly,
+// and — the paged scheduler's core guarantee — preemption never
+// re-emits a token (batch-slot steps == output tokens in a fault-free
+// run).
 TEST_P(KvEngineGrid, AccountingClosesAndTokensAreEmittedOnce)
 {
-    const auto [mode, blocks, seed, chunk] = GetParam();
+    const auto [mode, blocks, seed, chunk, policy] = GetParam();
     auto trace = engineGridTrace(seed);
     auto step = kvGridModel();
-    serve::ContinuousEngine eng(*step,
-                                engineGridConfig(mode, blocks, chunk));
+    serve::ContinuousEngine eng(
+        *step, engineGridConfig(mode, blocks, chunk, policy));
     for (auto &r : trace)
         eng.submit(&r, r.arrival);
     while (!eng.idle())
@@ -616,11 +625,11 @@ TEST_P(KvEngineGrid, AccountingClosesAndTokensAreEmittedOnce)
 
 TEST_P(KvEngineGrid, ClosureHoldsAfterEveryIteration)
 {
-    const auto [mode, blocks, seed, chunk] = GetParam();
+    const auto [mode, blocks, seed, chunk, policy] = GetParam();
     auto trace = engineGridTrace(seed);
     auto step = kvGridModel();
-    serve::ContinuousEngine eng(*step,
-                                engineGridConfig(mode, blocks, chunk));
+    serve::ContinuousEngine eng(
+        *step, engineGridConfig(mode, blocks, chunk, policy));
     for (auto &r : trace)
         eng.submit(&r, r.arrival);
     iterateCheckingClosure(eng);
@@ -634,13 +643,16 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(96ULL, 256ULL, 4096ULL),
         ::testing::Values(5u, 21u),
         ::testing::Values(serve::ChunkMode::Off,
-                          serve::ChunkMode::DecodePriority)),
+                          serve::ChunkMode::DecodePriority),
+        ::testing::Values(serve::BatchPolicy::Continuous,
+                          serve::BatchPolicy::Static)),
     [](const ::testing::TestParamInfo<KvEngineCase> &info) {
         return std::string(serve::kvModeName(
                    std::get<0>(info.param))) +
                "_blk" + std::to_string(std::get<1>(info.param)) +
                "_s" + std::to_string(std::get<2>(info.param)) + "_" +
-               serve::chunkModeName(std::get<3>(info.param));
+               serve::chunkModeName(std::get<3>(info.param)) +
+               policySuffix(std::get<4>(info.param));
     });
 
 // Scheduling must never change what gets served: with an ample pool
@@ -688,27 +700,28 @@ TEST(KvEngineEquivalence, ReservedPagedChunkedServeTheSameSet)
 
 // ---- Speculation never changes what gets served ------------------------
 
-using SpecEngineCase =
-    std::tuple<serve::KvMode, serve::ChunkMode, unsigned>;
-// (KV discipline, prefill scheduling, workload seed)
+using SpecEngineCase = std::tuple<serve::KvMode, serve::ChunkMode,
+                                  unsigned, serve::BatchPolicy>;
+// (KV discipline, prefill scheduling, workload seed, batching)
 
 class SpecEngineGrid : public ::testing::TestWithParam<SpecEngineCase>
 {
 };
 
-// For every (discipline x scheduling x trace): replaying with
+// For every (discipline x scheduling x trace x batching): replaying with
 // speculation off, k=2, and k=4 completes the identical request set
 // with identical per-request output token counts, and the acceptance
 // accounting closes on the emitted total. Speculation changes when
 // tokens arrive, never which tokens arrive.
 TEST_P(SpecEngineGrid, CompletionSetInvariantAcrossDraftDepths)
 {
-    const auto [mode, chunk, seed] = GetParam();
+    const auto [mode, chunk, seed, policy] = GetParam();
 
     std::vector<std::vector<serve::Request>> traces;
     std::vector<serve::ServeTally> tallies;
     for (unsigned k : {0u, 2u, 4u}) {
-        serve::ServerConfig cfg = engineGridConfig(mode, 4096, chunk);
+        serve::ServerConfig cfg =
+            engineGridConfig(mode, 4096, chunk, policy);
         if (k) {
             cfg.specDecode.enabled = true;
             cfg.specDecode.draftTokens = k;
@@ -752,10 +765,11 @@ TEST_P(SpecEngineGrid, CompletionSetInvariantAcrossDraftDepths)
 // prompt prefixes so the pin bound has pins to bound.
 TEST_P(SpecEngineGrid, ClosureHoldsAfterEveryIteration)
 {
-    const auto [mode, chunk, seed] = GetParam();
+    const auto [mode, chunk, seed, policy] = GetParam();
     for (unsigned k : {0u, 2u, 4u}) {
         SCOPED_TRACE("k=" + std::to_string(k));
-        serve::ServerConfig cfg = engineGridConfig(mode, 4096, chunk);
+        serve::ServerConfig cfg =
+            engineGridConfig(mode, 4096, chunk, policy);
         auto trace = engineGridTrace(seed);
         if (mode == serve::KvMode::Paged) {
             cfg.prefixMode = serve::PrefixMode::Global;
@@ -785,13 +799,16 @@ INSTANTIATE_TEST_SUITE_P(
                           serve::KvMode::Paged),
         ::testing::Values(serve::ChunkMode::Off,
                           serve::ChunkMode::DecodePriority),
-        ::testing::Values(5u, 21u)),
+        ::testing::Values(5u, 21u),
+        ::testing::Values(serve::BatchPolicy::Continuous,
+                          serve::BatchPolicy::Static)),
     [](const ::testing::TestParamInfo<SpecEngineCase> &info) {
         return std::string(serve::kvModeName(
                    std::get<0>(info.param))) +
                "_" +
                serve::chunkModeName(std::get<1>(info.param)) +
-               "_s" + std::to_string(std::get<2>(info.param));
+               "_s" + std::to_string(std::get<2>(info.param)) +
+               policySuffix(std::get<3>(info.param));
     });
 
 // ---- Reserved and paged complete the same request set ------------------

@@ -135,8 +135,9 @@ TEST(Workload, BurstyIsDeterministicAndDistinctFromPoisson)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].arrival, b[i].arrival);
-        if (i)
+        if (i) {
             EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+        }
     }
     WorkloadConfig p = w;
     p.process = ArrivalProcess::Poisson;
@@ -266,6 +267,63 @@ TEST(Server, ContinuousBeatsStaticOnTtft)
     const auto ms = s_stat.run(generateWorkload(w));
     EXPECT_LT(mc.tpot.p95, ms.tpot.p95 + 1.0);
     EXPECT_GE(mc.sloAttainment, ms.sloAttainment - 0.05);
+}
+
+namespace {
+
+/** Exact binary costs: 1/128 s per prompt token, 1/8 s per decode. */
+class FixedStepModel : public StepModel
+{
+  public:
+    double prefill(unsigned in_len) const override
+    {
+        return in_len / 128.0;
+    }
+    double decodeStep(double, double) const override { return 0.125; }
+};
+
+} // namespace
+
+// The static admission rule, by hand. r0 and r1 open the first batch
+// at t=0 and prefill over [0,1] and [1,2]; r2 arrives at 1.5, while
+// that batch is still prefilling. It must wait for the next batch
+// (which opens when the first drains at 2.375) instead of joining the
+// one whose admission loop is still running, as continuous batching
+// lets it.
+TEST(Server, StaticBatchAdmitsOnlyWhatWasReadyWhenItOpened)
+{
+    std::vector<Request> trace(3);
+    for (unsigned i = 0; i < 3; ++i) {
+        trace[i].id = i;
+        trace[i].inLen = 128;
+        trace[i].outLen = 3;
+    }
+    trace[2].arrival = 1.5;
+
+    ServerConfig cfg;
+    cfg.policy = BatchPolicy::Static;
+    std::vector<Request> out;
+    const ServeMetrics m =
+        Server(std::make_unique<FixedStepModel>(), cfg).run(trace, out);
+    EXPECT_DOUBLE_EQ(out[0].firstToken, 1.0);
+    EXPECT_DOUBLE_EQ(out[1].firstToken, 2.0);
+    EXPECT_DOUBLE_EQ(out[1].finish, 2.375);
+    EXPECT_DOUBLE_EQ(out[2].firstToken, 3.375);
+    EXPECT_DOUBLE_EQ(out[2].finish, 3.75);
+    EXPECT_DOUBLE_EQ(m.makespan, 3.75);
+
+    // Static runs carry the engine's per-token accounting.
+    EXPECT_EQ(m.completed, 3u);
+    EXPECT_EQ(m.prefills, m.completed);
+    EXPECT_EQ(m.decodeSteps, 6u);
+    EXPECT_EQ(m.emittedTokens, 9u);
+    EXPECT_DOUBLE_EQ(m.itl.p50, 0.125);
+    EXPECT_DOUBLE_EQ(m.peakBatchOccupancy, 2.0);
+
+    // Continuous batching admits r2 at t=2, behind r1's prefill.
+    cfg.policy = BatchPolicy::Continuous;
+    Server(std::make_unique<FixedStepModel>(), cfg).run(trace, out);
+    EXPECT_DOUBLE_EQ(out[2].firstToken, 3.0);
 }
 
 TEST(Server, OverloadDegradesSloAttainment)
@@ -597,9 +655,10 @@ TEST(ServerResilience, TimeoutDropsLateRequestsUnderOverload)
     EXPECT_LT(m.availability, 1.0);
     // Every completed request met its deadline at admission time.
     for (const Request &r : annotated) {
-        if (r.finish >= 0.0)
+        if (r.finish >= 0.0) {
             EXPECT_LE(r.firstToken - r.arrival, 30.0 + 60.0)
                 << "request " << r.id;
+        }
     }
 }
 
@@ -704,15 +763,18 @@ TEST(CounterTable, KeysAndObsNamesAreUniqueAndRowsFollowTheStruct)
     std::ptrdiff_t prev = -1;
     for (std::size_t i = 0; i < kServeCounters.size(); ++i) {
         const CounterDef &d = kServeCounters[i];
-        if (d.json)
+        if (d.json) {
             EXPECT_TRUE(json.insert(d.json).second) << d.json;
-        if (d.obs)
+        }
+        if (d.obs) {
             EXPECT_TRUE(obs.insert(d.obs).second) << d.obs;
+        }
         // Only integer counters can feed an obs counter.
-        if (d.obs)
+        if (d.obs) {
             EXPECT_TRUE(std::holds_alternative<
                         std::uint64_t ServeCounters::*>(d.member))
                 << d.obs;
+        }
         const std::ptrdiff_t offset = std::visit(
             [&](auto m) {
                 return reinterpret_cast<const char *>(&(c.*m)) - base;
@@ -800,10 +862,11 @@ TEST(CounterTable, GatedKeysAppearExactlyWhenTheirFlagIsSet)
     const std::string js = countersJson(ServeMetrics{});
     for (const CounterDef &d : kServeCounters)
         if (d.json && (d.group == CounterGroup::Kv ||
-                       d.group == CounterGroup::Resilience))
+                       d.group == CounterGroup::Resilience)) {
             EXPECT_NE(js.find('"' + std::string(d.json) + "\":"),
                       std::string::npos)
                 << d.json;
+        }
 }
 
 TEST(CounterTable, DerivedRatios)

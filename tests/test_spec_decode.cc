@@ -456,10 +456,3 @@ TEST(SpecDeath, AcceptProbOutsideUnitIntervalIsFatal)
     cfg.specDecode.acceptProb = 1.5;
     EXPECT_DEATH(Server(cpuModel(), cfg), "acceptance probability");
 }
-
-TEST(SpecDeath, SpeculationRequiresContinuousBatching)
-{
-    ServerConfig cfg = specConfig(4);
-    cfg.policy = BatchPolicy::Static;
-    EXPECT_DEATH(Server(cpuModel(), cfg), "continuous");
-}
