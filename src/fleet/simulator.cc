@@ -250,9 +250,7 @@ FleetSimulator::finalize(std::size_t backlogged_total)
         serve::mergeCounters(tally, t);
         // Pool every node's per-token gaps (node-id order, so the
         // fleet ITL summary is deterministic at any thread count).
-        tally.itlSamples.insert(tally.itlSamples.end(),
-                                t.itlSamples.begin(),
-                                t.itlSamples.end());
+        tally.itlSamples.append(t.itlSamples);
         occupancy_sum += e.occupancySum();
         steps += e.steps();
         kv_peak = std::max(kv_peak, e.kvPeak());

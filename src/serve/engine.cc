@@ -975,13 +975,9 @@ ContinuousEngine::applyStep()
             // emission (wherever it happened — before a preemption,
             // even before a restart). A cycle's tokens reach the
             // client together; the gap is spread across them so ITL
-            // samples keep their per-token meaning.
-            const double since = now - a.lastEmit;
-            if (emit == 1)
-                tally_.itlSamples.push_back(since);
-            else
-                tally_.itlSamples.insert(tally_.itlSamples.end(), emit,
-                                         since / emit);
+            // samples keep their per-token meaning (x / 1 == x, so a
+            // single token's sample is the gap itself).
+            tally_.itlSamples.push((now - a.lastEmit) / emit, emit);
             a.lastEmit = now;
             a.produced += emit;
             emitted += emit;
@@ -1072,8 +1068,7 @@ finalizeRequests(const std::vector<const Request *> &reqs,
                          ? static_cast<double>(m.completed) /
                                static_cast<double>(m.submitted)
                          : 0.0;
-    if (!tally.itlSamples.empty())
-        m.itl = summarize(tally.itlSamples, 0.0);
+    m.itl = summarize(tally.itlSamples);
     return m;
 }
 

@@ -445,10 +445,16 @@ void validate(const ServerConfig &cfg);
 /**
  * What an engine tallies over a run: the counters, plus every
  * per-token decode gap (tracked in every mode; summarized as `itl`).
+ * The gaps are kept exactly, as (gap, count) runs: every sequence
+ * decoding in one steady step sees the same gap, and a verify cycle's
+ * tokens share one, so a run costs about one entry per engine step
+ * instead of one double per token. `itlSamples.size()` is still the
+ * token count, and the p50/p95/p99 summary is bit-identical to that of
+ * the expanded samples.
  */
 struct ServeTally : ServeCounters
 {
-    std::vector<double> itlSamples; //!< per-token decode gaps [s]
+    RunLengthSamples itlSamples; //!< per-token decode gaps [s]
 };
 
 /** Outcome of serving a trace. */

@@ -9,6 +9,7 @@
 #define CLLM_UTIL_STATS_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace cllm {
@@ -20,8 +21,15 @@ namespace cllm {
 class OnlineStats
 {
   public:
-    /** Add one sample. */
-    void add(double x);
+    /** Add one sample; bit-identical to add(x, 1). */
+    void add(double x) { add(x, 1); }
+
+    /**
+     * Add `n` copies of `x` in one step: the weighted Welford update,
+     * i.e. a Chan merge of a zero-variance block. With n = 1 every
+     * operation reduces exactly to the single-sample update.
+     */
+    void add(double x, std::uint64_t n);
 
     /** Merge another accumulator into this one (Chan et al.). */
     void merge(const OnlineStats &other);
@@ -110,6 +118,52 @@ struct SampleSummary
 /** Build a SampleSummary, filtering at Z > z_max first (0 disables). */
 SampleSummary summarize(const std::vector<double> &samples,
                         double z_max = 3.0);
+
+/**
+ * A multiset of samples kept as (value, count) runs in arrival order.
+ * push() extends the last run when the value repeats, so a stream
+ * whose consecutive samples often coincide — every decoder of one
+ * engine step shares its inter-token gap — costs one run per change
+ * of value instead of one double per sample. Nothing is rounded:
+ * expanding the runs gives back the exact sample sequence.
+ */
+class RunLengthSamples
+{
+  public:
+    struct Run
+    {
+        double value;
+        std::uint64_t count;
+    };
+
+    /** Append `n` copies of `x` (n = 0 is a no-op). */
+    void push(double x, std::uint64_t n = 1);
+
+    /** Append every sample of `other`, in its order. */
+    void append(const RunLengthSamples &other);
+
+    /** Number of samples (not runs). */
+    std::size_t size() const { return size_; }
+
+    bool empty() const { return size_ == 0; }
+
+    const std::vector<Run> &runs() const { return runs_; }
+
+  private:
+    std::vector<Run> runs_;
+    std::size_t size_ = 0;
+};
+
+/**
+ * Summarize a run-length multiset without expanding it (no Z filter).
+ * min/max/count/p50/p95/p99 are bit-identical to summarize() of the
+ * expanded samples with z_max = 0: a weighted quickselect over a copy
+ * of the runs (expected linear time in the run count) finds the same
+ * two order statistics percentiles() interpolates, with the same
+ * type-7 weight. Mean and stddev add one run at a time, so they may
+ * differ from the per-sample Welford pass in the last bits.
+ */
+SampleSummary summarize(const RunLengthSamples &samples);
 
 /** Relative overhead of `value` versus `baseline`, as a fraction. */
 double overhead(double value, double baseline);

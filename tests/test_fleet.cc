@@ -485,6 +485,47 @@ TEST(FleetRollup, OneNodeFleetCountersEqualTheNodesRowByRow)
         EXPECT_NE(js.find(key), std::string::npos) << key;
 }
 
+TEST(FleetRollup, ItlPoolsEveryNodesSamplesInNodeIdOrder)
+{
+    // The FleetRollup node shape on three round-robin nodes: the fleet
+    // ITL summary must be, bit for bit, the plain summary of every
+    // node's expanded gaps concatenated in node-id order.
+    NodeTemplate node = faultyCpuTemplate();
+    bench::applyPagedKv(node.server, llm::llama2_7b());
+    node.server.prefixMode = serve::PrefixMode::PerTenant;
+    node.server.chunkedPrefill.mode = serve::ChunkMode::DecodePriority;
+    node.server.chunkedPrefill.chunkTokens = 128;
+    node.server.specDecode.enabled = true;
+
+    auto trace = burstyTrace(2.0, 300);
+    serve::applySharedPrefixMix(trace, serve::SharedPrefixMix{});
+    FleetConfig cfg;
+    cfg.seed = 42;
+    cfg.policy = RouterPolicy::RoundRobin;
+    cfg.initialNodes = {0, 0, 0};
+    FleetSimulator sim(cfg, {node});
+    const FleetMetrics m = sim.run(trace);
+
+    std::vector<double> pooled;
+    ASSERT_GE(sim.nodes().size(), 3u);
+    for (const auto &n : sim.nodes()) {
+        const RunLengthSamples &s = n->engine().tally().itlSamples;
+        EXPECT_GT(s.size(), 0u);
+        for (const RunLengthSamples::Run &r : s.runs())
+            pooled.insert(pooled.end(), r.count, r.value);
+    }
+    const SampleSummary want = summarize(pooled, 0.0);
+    ASSERT_GT(want.count, 0u);
+    EXPECT_EQ(m.itl.count, want.count);
+    EXPECT_EQ(m.itl.p50, want.p50);
+    EXPECT_EQ(m.itl.p95, want.p95);
+    EXPECT_EQ(m.itl.p99, want.p99);
+    EXPECT_EQ(m.itl.min, want.min);
+    EXPECT_EQ(m.itl.max, want.max);
+    EXPECT_NEAR(m.itl.mean, want.mean, 1e-12 * want.mean);
+    EXPECT_NEAR(m.itl.stddev, want.stddev, 1e-12 * want.stddev);
+}
+
 TEST(FleetGolden, MixedFleetMatchesGolden)
 {
     std::map<std::string, double> out;

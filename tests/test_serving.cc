@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "obs/trace.hh"
+#include "serve/engine.hh"
 #include "serve/serving.hh"
 #include "util/json.hh"
 
@@ -731,6 +732,44 @@ TEST(ServerTracing, AttachedTracerDoesNotPerturbMetrics)
     obs::Tracer off(obs::TraceMode::Off);
     EXPECT_EQ(runJson(&off), untraced);
     EXPECT_TRUE(off.simEvents().empty());
+}
+
+// ITL gaps are stored as (gap, count) runs. On a decode-heavy engine
+// (serve_decode's shape in miniature: reserved KV, Poisson arrivals,
+// prefix/chunk/spec/faults off) every steady decoder of a step shares
+// the step's gap, so storage stays within one run per decode step plus
+// two per prefill (a new decoder's first gap can split the step's
+// shared run in two), while size() still counts every token.
+TEST(ServerItl, RunLengthStorageStaysNearOneRunPerStep)
+{
+    WorkloadConfig w;
+    w.process = ArrivalProcess::Poisson;
+    w.arrivalRate = 0.35;
+    w.numRequests = 120;
+    w.meanInLen = 128;
+    w.meanOutLen = 512;
+    w.seed = 5;
+    auto trace = generateWorkload(w);
+    ServerConfig cfg;
+    cfg.kvMode = KvMode::Reserved;
+    const auto step = cpuModel(tee::makeTdx());
+    ContinuousEngine eng(*step, cfg);
+    for (Request &r : trace)
+        eng.submit(&r, r.arrival);
+    while (!eng.idle())
+        eng.iterate();
+
+    std::vector<const Request *> reqs;
+    for (const Request &r : trace)
+        reqs.push_back(&r);
+    const ServeTally &t = eng.tally();
+    const ServeMetrics m =
+        finalizeRequests(reqs, eng.clock(), eng.occupancySum(),
+                         eng.steps(), t, cfg.ttftSlo, cfg.tpotSlo);
+    ASSERT_EQ(m.completed, trace.size());
+    EXPECT_EQ(t.itlSamples.size(), m.outputTokens);
+    EXPECT_LE(t.itlSamples.runs().size(), t.decodeSteps + 2 * t.prefills);
+    EXPECT_GT(m.meanBatchOccupancy, 4.0); // the bound is a real saving
 }
 
 namespace {

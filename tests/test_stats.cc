@@ -236,6 +236,224 @@ TEST(Summarize, PercentilesOrdered)
     EXPECT_GE(s.p50, s.min);
 }
 
+namespace {
+
+/** xorshift64: a tiny seeded generator for reproducible multisets. */
+std::uint64_t
+nextRand(std::uint64_t &x)
+{
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+}
+
+/**
+ * A serving-shaped stream with heavy duplication: each "step" draws a
+ * gap from a small pool and pushes it for a random number of
+ * decoders, and some entries are spec cycles that spread the gap over
+ * `emit` tokens (gap / emit, emit).
+ */
+RunLengthSamples
+servingLikeSamples(std::uint64_t seed, int steps)
+{
+    RunLengthSamples rl;
+    std::uint64_t x = seed * 0x9E3779B97F4A7C15ULL + 1;
+    for (int i = 0; i < steps; ++i) {
+        const double gap =
+            0.01 + static_cast<double>(nextRand(x) % 37) / 613.0;
+        const std::uint64_t emit = 1 + nextRand(x) % 5;
+        if (nextRand(x) % 4 == 0)
+            rl.push(gap / static_cast<double>(emit), emit);
+        else
+            rl.push(gap, 1 + nextRand(x) % 24);
+    }
+    return rl;
+}
+
+std::vector<double>
+expand(const RunLengthSamples &rl)
+{
+    std::vector<double> out;
+    for (const RunLengthSamples::Run &r : rl.runs())
+        out.insert(out.end(), r.count, r.value);
+    return out;
+}
+
+/** Order statistics bit for bit; moments within 1e-12 relative. */
+void
+expectSameSummary(const SampleSummary &got, const SampleSummary &want)
+{
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.outliers, want.outliers);
+    EXPECT_EQ(got.p50, want.p50);
+    EXPECT_EQ(got.p95, want.p95);
+    EXPECT_EQ(got.p99, want.p99);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_NEAR(got.mean, want.mean, 1e-12 * std::abs(want.mean));
+    EXPECT_NEAR(got.stddev, want.stddev, 1e-12 * std::abs(want.stddev));
+}
+
+} // namespace
+
+TEST(OnlineStats, WeightedAddOfOneIsBitIdenticalToAdd)
+{
+    OnlineStats a, b;
+    std::uint64_t x = 7;
+    for (int i = 0; i < 1000; ++i) {
+        const double v = static_cast<double>(nextRand(x) % 100003) / 97.0;
+        a.add(v);
+        b.add(v, 1);
+        ASSERT_EQ(a.mean(), b.mean()) << i;
+        ASSERT_EQ(a.variance(), b.variance()) << i;
+    }
+    b.add(123.0, 0); // zero weight is a no-op
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.mean(), b.mean());
+    EXPECT_EQ(a.variance(), b.variance());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+}
+
+TEST(OnlineStats, WeightedAddMatchesRepeatedAdd)
+{
+    OnlineStats a, b;
+    const std::pair<double, std::uint64_t> runs[] = {
+        {3.5, 4}, {0.25, 1}, {9.0, 17}, {3.5, 2}, {-1.0, 6}};
+    for (const auto &[v, n] : runs) {
+        a.add(v, n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            b.add(v);
+    }
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_NEAR(a.mean(), b.mean(), 1e-12 * std::abs(b.mean()));
+    EXPECT_NEAR(a.variance(), b.variance(), 1e-12 * b.variance());
+    EXPECT_EQ(a.min(), -1.0);
+    EXPECT_EQ(a.max(), 9.0);
+}
+
+TEST(RunLengthSamples, PushExtendsOnlyTheLastRun)
+{
+    RunLengthSamples rl;
+    EXPECT_TRUE(rl.empty());
+    rl.push(1.0);
+    rl.push(1.0, 2);
+    rl.push(2.0);
+    rl.push(2.0, 0);
+    rl.push(1.0);
+    ASSERT_EQ(rl.runs().size(), 3u);
+    EXPECT_EQ(rl.size(), 5u);
+    EXPECT_EQ(rl.runs()[0].value, 1.0);
+    EXPECT_EQ(rl.runs()[0].count, 3u);
+    EXPECT_EQ(rl.runs()[1].value, 2.0);
+    EXPECT_EQ(rl.runs()[1].count, 1u);
+    EXPECT_EQ(rl.runs()[2].value, 1.0);
+    EXPECT_EQ(rl.runs()[2].count, 1u);
+    EXPECT_EQ(expand(rl), (std::vector<double>{1, 1, 1, 2, 1}));
+}
+
+TEST(RunLengthSamples, AppendingSplitHalvesEqualsUnsplit)
+{
+    std::vector<std::pair<double, std::uint64_t>> pushes;
+    std::uint64_t x = 99;
+    for (int i = 0; i < 400; ++i)
+        pushes.push_back({static_cast<double>(nextRand(x) % 3),
+                          nextRand(x) % 4});
+    RunLengthSamples whole;
+    for (const auto &[v, n] : pushes)
+        whole.push(v, n);
+    for (std::size_t cut : {0u, 1u, 137u, 399u, 400u}) {
+        RunLengthSamples head, tail;
+        for (std::size_t i = 0; i < pushes.size(); ++i)
+            (i < cut ? head : tail).push(pushes[i].first,
+                                         pushes[i].second);
+        head.append(tail);
+        EXPECT_EQ(head.size(), whole.size()) << cut;
+        ASSERT_EQ(head.runs().size(), whole.runs().size()) << cut;
+        for (std::size_t i = 0; i < whole.runs().size(); ++i) {
+            EXPECT_EQ(head.runs()[i].value, whole.runs()[i].value);
+            EXPECT_EQ(head.runs()[i].count, whole.runs()[i].count);
+        }
+    }
+    RunLengthSamples twice = whole;
+    twice.append(twice);
+    std::vector<double> want = expand(whole);
+    want.insert(want.end(), want.begin(), want.begin() + whole.size());
+    EXPECT_EQ(expand(twice), want);
+}
+
+TEST(RunLengthSummary, BitIdenticalToExpandedSummary)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const RunLengthSamples rl =
+            servingLikeSamples(seed, 50 + 97 * static_cast<int>(seed));
+        SCOPED_TRACE(seed);
+        ASSERT_GT(expand(rl).size(), 2 * rl.runs().size());
+        expectSameSummary(summarize(rl), summarize(expand(rl), 0.0));
+    }
+}
+
+TEST(RunLengthSummary, BitIdenticalOnSmallMultisets)
+{
+    // Few distinct values spread over many non-adjacent runs: ranks
+    // often land on the last sample of one value's runs, so the
+    // interpolation partner lies in a different value.
+    std::uint64_t x = 2024;
+    for (int trial = 0; trial < 3000; ++trial) {
+        RunLengthSamples rl;
+        const int runs = 1 + static_cast<int>(nextRand(x) % 40);
+        const std::uint64_t values = 1 + nextRand(x) % 8;
+        for (int i = 0; i < runs; ++i)
+            rl.push(static_cast<double>(nextRand(x) % values) * 0.1,
+                    1 + nextRand(x) % 4);
+        SCOPED_TRACE(trial);
+        expectSameSummary(summarize(rl), summarize(expand(rl), 0.0));
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+TEST(RunLengthSummary, EdgeCases)
+{
+    // Empty: the all-zero summary.
+    const SampleSummary none = summarize(RunLengthSamples{});
+    expectSameSummary(none, SampleSummary{});
+    EXPECT_EQ(none.mean, 0.0);
+    EXPECT_EQ(none.stddev, 0.0);
+
+    const auto check = [](const RunLengthSamples &rl) {
+        expectSameSummary(summarize(rl), summarize(expand(rl), 0.0));
+    };
+    RunLengthSamples one;
+    one.push(0.125);
+    check(one);
+    EXPECT_EQ(summarize(one).p99, 0.125);
+
+    RunLengthSamples two;
+    two.push(3.0);
+    two.push(1.0);
+    check(two);
+    EXPECT_EQ(summarize(two).p50, 2.0);
+
+    RunLengthSamples same;
+    same.push(0.7, 9);
+    same.push(0.7, 4);
+    ASSERT_EQ(same.runs().size(), 1u);
+    check(same);
+    EXPECT_EQ(summarize(same).stddev, 0.0);
+
+    // n = 101: ranks 50, 95 and 99 are whole, so frac = 0 and each
+    // percentile is one exact order statistic.
+    RunLengthSamples whole_rank;
+    for (int i = 100; i >= 0; i -= 4)
+        whole_rank.push(static_cast<double>(i % 7), 1 + i % 3);
+    while (whole_rank.size() < 101)
+        whole_rank.push(2.5);
+    ASSERT_EQ(whole_rank.size(), 101u);
+    check(whole_rank);
+}
+
 TEST(Overhead, BasicMath)
 {
     EXPECT_NEAR(overhead(110.0, 100.0), 0.1, 1e-12);
