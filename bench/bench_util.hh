@@ -7,10 +7,8 @@
 #define CLLM_BENCH_BENCH_UTIL_HH
 
 #include <cstddef>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,7 +19,7 @@
 #include "obs/metrics.hh"
 #include "par/pool.hh"
 #include "serve/serving.hh"
-#include "util/config.hh"
+#include "util/flags.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -61,43 +59,75 @@ struct ObsOptions
     std::string metricsOut; //!< "" = no registry snapshot
 };
 
-/** Usage text for the shared observability flags. */
-inline const char *
-obsUsage()
+/** The shared observability flags. */
+inline Flags
+obsFlags(ObsOptions &opt)
 {
-    return "  --trace [path]      record a sim-time trace and write "
-           "Chrome trace-event\n"
-           "                      JSON (chrome://tracing / Perfetto); "
-           "path defaults to\n"
-           "                      $CLLM_TRACE_OUT, then to "
-           "<bench>.trace.json\n"
-           "  --metrics-out path  write the metrics-registry snapshot "
-           "(counters,\n"
-           "                      gauges, histograms) as JSON to "
-           "path\n"
-           "  --help              show this help\n";
+    return {
+        {"--trace", "[path]",
+         "record a sim-time trace and write Chrome trace-event JSON "
+         "(chrome://tracing / Perfetto); path defaults to "
+         "$CLLM_TRACE_OUT, then to <bench>.trace.json",
+         [&opt](const char *v) {
+             opt.trace = true;
+             if (v)
+                 opt.tracePath = v;
+         }},
+        {"--metrics-out", "path",
+         "write the metrics-registry snapshot (counters, gauges, "
+         "histograms) as JSON to path",
+         [&opt](const char *v) { opt.metricsOut = v; }},
+    };
 }
 
-/**
- * Consume argv[i] (advancing `i` past any operand) when it is one of
- * the shared observability flags; false otherwise.
- */
-inline bool
-parseObsArg(ObsOptions &opt, int argc, char **argv, int &i)
+/** The shared-system-prompt mix flags. */
+inline Flags
+prefixMixFlags(serve::SharedPrefixMix &mix)
 {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-        opt.trace = true;
-        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-            opt.tracePath = argv[++i];
-        return true;
-    }
-    if (std::strcmp(argv[i], "--metrics-out") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--metrics-out needs a path");
-        opt.metricsOut = argv[++i];
-        return true;
-    }
-    return false;
+    return {
+        numberFlag("--prefix-tenants", mix.tenants,
+                   "tenants in the shared-prompt mix", 1),
+        numberFlag("--prefix-len", mix.prefixLen,
+                   "shared system-prompt length in tokens", 0),
+        numberFlag("--prefix-share", mix.sharedFraction,
+                   "fraction of requests opening with a shared prompt",
+                   0.0, 1.0),
+    };
+}
+
+/** The chunked-prefill flags. */
+inline Flags
+chunkFlags(serve::ChunkedPrefillPolicy &chunk)
+{
+    return {
+        choiceFlag("--chunk", chunk.mode, serve::kChunkModeNames,
+                   "chunked prefill with mixed prefill/decode steps under "
+                   "the given scheduling priority"),
+        numberFlag("--chunk-tokens", chunk.chunkTokens,
+                   "max prompt tokens per prefill slice", 1),
+        numberFlag("--chunk-budget", chunk.stepTokenBudget,
+                   "per-step token budget; 0 = chunk + batch", 0),
+    };
+}
+
+/** The speculative-decoding flags. */
+inline Flags
+specFlags(serve::SpecDecodePolicy &spec)
+{
+    return {
+        switchFlag("--spec", spec.enabled,
+                   "enable speculative decoding (draft + fused verify "
+                   "steps; amortizes per-step TEE overheads)"),
+        numberFlag("--spec-k", spec.draftTokens,
+                   "draft tokens per verify cycle", 1),
+        numberFlag("--spec-ratio", spec.draftCostRatio,
+                   "draft-model cost as a fraction of the target's "
+                   "decode step",
+                   0.0, 1.0, /*open=*/true),
+        numberFlag("--spec-accept", spec.acceptProb,
+                   "per-position draft acceptance probability", 0.0,
+                   1.0),
+    };
 }
 
 /**
@@ -163,238 +193,6 @@ applyPagedKv(serve::ServerConfig &cfg, const llm::ModelConfig &model,
 {
     cfg.kvMode = serve::KvMode::Paged;
     cfg.paged.kvBytesPerToken = model.kvBytesPerToken(dtype);
-}
-
-/**
- * Consume a `--<flag> <mode>` pair at argv[i] (advancing `i` past the
- * operand); false when argv[i] is some other flag. One helper behind
- * the `--kv`, `--prefix`, and `--chunk` mode flags instead of three
- * copies of the same bounds-check-then-parse dance: `parse` maps the
- * operand onto the mode enum (and is fatal on junk), `operands` is
- * the usage hint printed when the operand is missing.
- */
-template <typename Mode>
-inline bool
-parseModeArg(const char *flag, Mode (*parse)(const std::string &),
-             Mode &mode, int argc, char **argv, int &i,
-             const char *operands)
-{
-    if (std::strcmp(argv[i], flag) != 0)
-        return false;
-    if (i + 1 >= argc)
-        cllm_fatal(flag, " needs a mode (", operands, ")");
-    mode = parse(argv[++i]);
-    return true;
-}
-
-/**
- * The operand of the numeric flag at argv[i] (advancing `i` past it),
- * parsed strictly as a T in [lo, hi]: junk, trailing characters and
- * out-of-range values are fatal.
- */
-template <typename T>
-inline T
-numericArg(int argc, char **argv, int &i, T lo,
-           T hi = std::numeric_limits<T>::max())
-{
-    const char *flag = argv[i];
-    if (i + 1 >= argc)
-        cllm_fatal(flag, " needs a value");
-    return parseNumber<T>(flag, argv[++i], lo, hi);
-}
-
-/**
- * Consume `--kv <reserved|paged>` at argv[i]; false otherwise. The
- * flag is strictly additive: without it the binaries run reserved and
- * their stdout stays byte-identical.
- */
-inline bool
-parseKvArg(serve::KvMode &mode, int argc, char **argv, int &i)
-{
-    return parseModeArg("--kv", serve::parseKvMode, mode, argc, argv,
-                        i, "reserved|paged");
-}
-
-/**
- * Prefix-caching options shared by `serve_slo` and `fleet_capacity`
- * — one parser instead of two copies.
- * Defaults leave caching off and the workload unannotated, so a
- * binary that never sees the flags stays byte-identical.
- */
-struct PrefixOptions
-{
-    serve::PrefixMode mode = serve::PrefixMode::Off;
-    serve::SharedPrefixMix mix{};
-};
-
-/** Usage text for the shared prefix-caching flags. */
-inline const char *
-prefixUsage()
-{
-    return "  --prefix <off|per_tenant|global>\n"
-           "                      enable radix-tree prefix KV caching "
-           "with the given\n"
-           "                      sharing scope (requires --kv "
-           "paged)\n"
-           "  --prefix-tenants N  tenants in the shared-prompt mix "
-           "(default 4)\n"
-           "  --prefix-len N      shared system-prompt length in "
-           "tokens (default 256)\n"
-           "  --prefix-share F    fraction of requests opening with a "
-           "shared prompt\n"
-           "                      (default 0.85)\n";
-}
-
-/**
- * Consume argv[i] (advancing `i` past any operand) when it is one of
- * the shared prefix-caching flags; false otherwise.
- */
-inline bool
-parsePrefixArg(PrefixOptions &opt, int argc, char **argv, int &i)
-{
-    if (parseModeArg("--prefix", serve::parsePrefixMode, opt.mode,
-                     argc, argv, i, "off|per_tenant|global"))
-        return true;
-    if (std::strcmp(argv[i], "--prefix-tenants") == 0) {
-        opt.mix.tenants = numericArg(argc, argv, i, 1u);
-        return true;
-    }
-    if (std::strcmp(argv[i], "--prefix-len") == 0) {
-        opt.mix.prefixLen = numericArg(argc, argv, i, 0u);
-        return true;
-    }
-    if (std::strcmp(argv[i], "--prefix-share") == 0) {
-        opt.mix.sharedFraction = numericArg(argc, argv, i, 0.0, 1.0);
-        return true;
-    }
-    return false;
-}
-
-/**
- * Chunked-prefill options shared by `serve_slo` and
- * `fleet_capacity`. Defaults leave chunking off, so a
- * binary that never sees the flags stays byte-identical.
- */
-struct ChunkOptions
-{
-    serve::ChunkMode mode = serve::ChunkMode::Off;
-    unsigned chunkTokens = 256;
-    unsigned stepTokenBudget = 0; //!< 0 = chunkTokens + maxBatch
-};
-
-/** Usage text for the shared chunked-prefill flags. */
-inline const char *
-chunkUsage()
-{
-    return "  --chunk <off|decode|prefill>\n"
-           "                      enable chunked prefill with mixed "
-           "prefill/decode\n"
-           "                      steps under the given scheduling "
-           "priority\n"
-           "  --chunk-tokens N    max prompt tokens per prefill slice "
-           "(default 256)\n"
-           "  --chunk-budget N    per-step token budget (default: "
-           "chunk + batch)\n";
-}
-
-/**
- * Consume argv[i] (advancing `i` past any operand) when it is one of
- * the shared chunked-prefill flags; false otherwise.
- */
-inline bool
-parseChunkArg(ChunkOptions &opt, int argc, char **argv, int &i)
-{
-    if (parseModeArg("--chunk", serve::parseChunkMode, opt.mode,
-                     argc, argv, i, "off|decode|prefill"))
-        return true;
-    if (std::strcmp(argv[i], "--chunk-tokens") == 0) {
-        opt.chunkTokens = numericArg(argc, argv, i, 1u);
-        return true;
-    }
-    if (std::strcmp(argv[i], "--chunk-budget") == 0) {
-        opt.stepTokenBudget = numericArg(argc, argv, i, 0u);
-        return true;
-    }
-    return false;
-}
-
-/** Apply parsed chunked-prefill options to a server config. */
-inline void
-applyChunkedPrefill(serve::ServerConfig &cfg, const ChunkOptions &opt)
-{
-    cfg.chunkedPrefill.mode = opt.mode;
-    cfg.chunkedPrefill.chunkTokens = opt.chunkTokens;
-    cfg.chunkedPrefill.stepTokenBudget = opt.stepTokenBudget;
-}
-
-/**
- * Speculative-decoding options shared by `serve_slo` and
- * `fleet_capacity`. Defaults leave speculation off, so a binary that
- * never sees the flags stays byte-identical.
- */
-struct SpecOptions
-{
-    bool enabled = false;
-    unsigned draftTokens = 4;
-    double draftCostRatio = 0.15;
-    double acceptProb = 0.7;
-};
-
-/** Usage text for the shared speculative-decoding flags. */
-inline const char *
-specUsage()
-{
-    return "  --spec              enable speculative decoding "
-           "(draft + fused verify\n"
-           "                      steps; amortizes per-step TEE "
-           "overheads)\n"
-           "  --spec-k N          draft tokens per verify cycle "
-           "(default 4)\n"
-           "  --spec-ratio F      draft-model cost as a fraction of "
-           "the target's\n"
-           "                      decode step, in (0, 1) (default "
-           "0.15)\n"
-           "  --spec-accept F     per-position draft acceptance "
-           "probability, in\n"
-           "                      [0, 1] (default 0.7)\n";
-}
-
-/**
- * Consume argv[i] (advancing `i` past any operand) when it is one of
- * the shared speculative-decoding flags; false otherwise.
- */
-inline bool
-parseSpecArg(SpecOptions &opt, int argc, char **argv, int &i)
-{
-    if (std::strcmp(argv[i], "--spec") == 0) {
-        opt.enabled = true;
-        return true;
-    }
-    if (std::strcmp(argv[i], "--spec-k") == 0) {
-        opt.draftTokens = numericArg(argc, argv, i, 1u);
-        return true;
-    }
-    if (std::strcmp(argv[i], "--spec-ratio") == 0) {
-        opt.draftCostRatio = numericArg(argc, argv, i, 0.0, 1.0);
-        if (opt.draftCostRatio == 0.0 || opt.draftCostRatio == 1.0)
-            cllm_fatal("--spec-ratio outside (0, 1)");
-        return true;
-    }
-    if (std::strcmp(argv[i], "--spec-accept") == 0) {
-        opt.acceptProb = numericArg(argc, argv, i, 0.0, 1.0);
-        return true;
-    }
-    return false;
-}
-
-/** Apply parsed speculative-decoding options to a server config. */
-inline void
-applySpecDecode(serve::ServerConfig &cfg, const SpecOptions &opt)
-{
-    cfg.specDecode.enabled = opt.enabled;
-    cfg.specDecode.draftTokens = opt.draftTokens;
-    cfg.specDecode.draftCostRatio = opt.draftCostRatio;
-    cfg.specDecode.acceptProb = opt.acceptProb;
 }
 
 /** Shared-ownership wrapper around a freshly built TEE backend. */

@@ -54,7 +54,7 @@ main()
         const auto &cfg = configs[i];
         const std::string label =
             cfg.fw.name == "Llama.cpp" ? "mixed"
-                                       : hw::dtypeName(cfg.dtype);
+                                       : hw::kDtypeNames.name(cfg.dtype);
         t.addRow({cfg.fw.name, label, fmt(runtimes[i]),
                   fmt(runtimes[i] / ipex_runtime, 2) + "x"});
     }

@@ -26,7 +26,7 @@ main()
     const llm::ModelConfig model = llm::llama2_7b();
 
     for (hw::Dtype dtype : {hw::Dtype::Bf16, hw::Dtype::Int8}) {
-        std::cout << "--- dtype " << hw::dtypeName(dtype) << " ---\n";
+        std::cout << "--- dtype " << hw::kDtypeNames.name(dtype) << " ---\n";
         llm::RunParams tput = throughputParams(cpu);
         llm::RunParams lat = latencyParams(cpu);
         lat.outLen = 1024; // >= 1000 output tokens, as measured

@@ -25,7 +25,7 @@ main()
     const llm::ModelConfig model = llm::llama2_7b();
 
     for (hw::Dtype dtype : {hw::Dtype::Bf16, hw::Dtype::Int8}) {
-        std::cout << "--- dtype " << hw::dtypeName(dtype) << " ---\n";
+        std::cout << "--- dtype " << hw::kDtypeNames.name(dtype) << " ---\n";
         Table t({"batch", "VM+AMX [tok/s]", "TDX+AMX ovh",
                  "TDX noAMX ovh", "AMX speedup"});
         for (unsigned batch : {1u, 8u, 32u, 128u, 512u}) {

@@ -26,7 +26,7 @@ main()
     const std::vector<unsigned> batches = {1u,   4u,   16u, 64u,
                                            128u, 256u, 512u};
     for (hw::Dtype dtype : {hw::Dtype::Bf16, hw::Dtype::Int8}) {
-        std::cout << "--- dtype " << hw::dtypeName(dtype) << " ---\n";
+        std::cout << "--- dtype " << hw::kDtypeNames.name(dtype) << " ---\n";
         Table t({"batch", "tput 1-socket [tok/s]", "TDX tput ovh",
                  "latency 2-socket [ms]", "TDX lat ovh", "bound"});
         // Each batch point is an independent model evaluation; fan

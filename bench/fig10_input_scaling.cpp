@@ -26,7 +26,7 @@ main()
     const std::vector<unsigned> in_lens = {128u,  256u,  512u, 1024u,
                                            2048u, 4096u, 8192u};
     for (hw::Dtype dtype : {hw::Dtype::Bf16, hw::Dtype::Int8}) {
-        std::cout << "--- dtype " << hw::dtypeName(dtype) << " ---\n";
+        std::cout << "--- dtype " << hw::kDtypeNames.name(dtype) << " ---\n";
         Table t({"input", "e2e tput [tok/s]", "TDX e2e ovh",
                  "decode tput [tok/s]", "TDX decode ovh",
                  "working set [GB]"});

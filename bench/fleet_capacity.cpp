@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,22 +32,6 @@
 using namespace cllm;
 
 namespace {
-
-void
-usage(std::ostream &os)
-{
-    os << "usage: fleet_capacity [--kv reserved|paged] "
-          "[--prefix <mode>] [--chunk <mode>] [--spec] "
-          "[--trace [path]] [--metrics-out path]\n\n"
-          "  --kv mode           KV discipline on every node: "
-          "'reserved' (default,\n"
-          "                      whole-request block reservation) or "
-          "'paged'\n"
-          "                      (headroom admission with recompute "
-          "preemption)\n"
-       << bench::prefixUsage() << bench::chunkUsage()
-       << bench::specUsage() << bench::obsUsage();
-}
 
 /** Sustainable request rate of one node at full batch, from its own
  *  step model: decode tokens/s divided by the mean output length. */
@@ -97,21 +80,15 @@ sizeFleet(fleet::FleetConfig cfg,
 
 void
 sweep(double ttft_slo, const std::vector<double> &rates,
-      serve::KvMode kv_mode, const bench::ChunkOptions &copt,
-      const bench::SpecOptions &sopt)
+      const serve::ServerConfig &from_flags)
 {
     fleet::NodeTemplate cpu = fleet::cpuTdxNode();
     fleet::NodeTemplate gpu = fleet::cgpuH100Node();
-    if (kv_mode == serve::KvMode::Paged) {
-        const llm::ModelConfig model = llm::llama2_7b();
-        bench::applyPagedKv(cpu.server, model);
-        bench::applyPagedKv(gpu.server, model);
-    }
-    bench::applyChunkedPrefill(cpu.server, copt);
-    bench::applyChunkedPrefill(gpu.server, copt);
-    if (sopt.enabled) {
-        bench::applySpecDecode(cpu.server, sopt);
-        bench::applySpecDecode(gpu.server, sopt);
+    for (fleet::NodeTemplate *node : {&cpu, &gpu}) {
+        if (from_flags.kvMode == serve::KvMode::Paged)
+            bench::applyPagedKv(node->server, llm::llama2_7b());
+        node->server.chunkedPrefill = from_flags.chunkedPrefill;
+        node->server.specDecode = from_flags.specDecode;
     }
 
     serve::WorkloadConfig base = bench::serveSeedWorkload();
@@ -202,14 +179,14 @@ sweep(double ttft_slo, const std::vector<double> &rates,
  * rates and the TTFT / $/1k-token deltas the routing choice buys.
  */
 void
-prefixComparison(const bench::PrefixOptions &popt)
+prefixComparison(serve::PrefixMode mode, const serve::SharedPrefixMix &mix)
 {
     std::cout << "--- prefix caching: shared-system-prompt mix on a "
                  "4-node TDX fleet ---\n";
-    std::cout << "sharing scope " << serve::prefixModeName(popt.mode)
-              << "; " << popt.mix.tenants << " tenants, "
-              << popt.mix.prefixLen << "-token shared prefixes, "
-              << fmtPct(100.0 * popt.mix.sharedFraction)
+    std::cout << "sharing scope " << serve::kPrefixModeNames.name(mode)
+              << "; " << mix.tenants << " tenants, "
+              << mix.prefixLen << "-token shared prefixes, "
+              << fmtPct(100.0 * mix.sharedFraction)
               << " of requests shared\n\n";
 
     const llm::ModelConfig model = llm::llama2_7b();
@@ -220,7 +197,7 @@ prefixComparison(const bench::PrefixOptions &popt)
     load.arrivalRate = 1.2;
     load.numRequests = 400;
     std::vector<serve::Request> trace = serve::generateWorkload(load);
-    serve::applySharedPrefixMix(trace, popt.mix);
+    serve::applySharedPrefixMix(trace, mix);
 
     // Per-node cache budget sized below the distinct-prompt working
     // set (tenants x prompts/tenant prefixes). Scatter routing makes
@@ -230,7 +207,7 @@ prefixComparison(const bench::PrefixOptions &popt)
     // routing policy is worth.
     const std::uint64_t bt = cpu.server.kvBlockTokens;
     const std::uint64_t prompt_blocks =
-        (popt.mix.prefixLen + bt - 1) / bt;
+        (mix.prefixLen + bt - 1) / bt;
     const std::uint64_t budget = 3 * prompt_blocks;
 
     struct Variant
@@ -254,7 +231,7 @@ prefixComparison(const bench::PrefixOptions &popt)
     for (const Variant &v : variants) {
         fleet::NodeTemplate node = cpu;
         if (v.prefixOn) {
-            node.server.prefixMode = popt.mode;
+            node.server.prefixMode = mode;
             node.server.prefix.maxBlocks = budget;
         }
         fleet::FleetConfig cfg;
@@ -285,11 +262,11 @@ prefixComparison(const bench::PrefixOptions &popt)
  * projection) is exercised end to end.
  */
 void
-chunkedComparison(const bench::ChunkOptions &copt)
+chunkedComparison(const serve::ChunkedPrefillPolicy &chunk)
 {
     std::cout << "--- chunked prefill: "
-              << serve::chunkModeName(copt.mode) << "-priority "
-              << copt.chunkTokens
+              << serve::kChunkModeNames.name(chunk.mode) << "-priority "
+              << chunk.chunkTokens
               << "-token slices on a 4-node TDX fleet ---\n\n";
 
     const llm::ModelConfig model = llm::llama2_7b();
@@ -307,7 +284,7 @@ chunkedComparison(const bench::ChunkOptions &copt)
     for (bool chunked : {false, true}) {
         fleet::NodeTemplate node = cpu;
         if (chunked)
-            bench::applyChunkedPrefill(node.server, copt);
+            node.server.chunkedPrefill = chunk;
         fleet::FleetConfig cfg;
         cfg.ttftSlo = 2.0;
         cfg.policy = fleet::RouterPolicy::LeastOutstanding;
@@ -332,11 +309,11 @@ chunkedComparison(const bench::ChunkOptions &copt)
  * decode estimate) are exercised end to end.
  */
 void
-specComparison(const bench::SpecOptions &sopt)
+specComparison(const serve::SpecDecodePolicy &spec)
 {
-    std::cout << "--- speculative decoding: k=" << sopt.draftTokens
-              << " drafts (cost ratio " << fmt(sopt.draftCostRatio, 2)
-              << ", acceptance " << fmt(sopt.acceptProb, 2)
+    std::cout << "--- speculative decoding: k=" << spec.draftTokens
+              << " drafts (cost ratio " << fmt(spec.draftCostRatio, 2)
+              << ", acceptance " << fmt(spec.acceptProb, 2)
               << ") on a 4-node TDX fleet ---\n\n";
 
     const llm::ModelConfig model = llm::llama2_7b();
@@ -351,19 +328,19 @@ specComparison(const bench::SpecOptions &sopt)
 
     Table t({"variant", "verify steps", "mean acc len",
              "ITL p99 [ms]", "tok/s", "$/1k tok"});
-    for (bool spec : {false, true}) {
+    for (bool on : {false, true}) {
         fleet::NodeTemplate node = cpu;
-        if (spec)
-            bench::applySpecDecode(node.server, sopt);
+        if (on)
+            node.server.specDecode = spec;
         fleet::FleetConfig cfg;
         cfg.ttftSlo = 2.0;
         cfg.policy = fleet::RouterPolicy::LeastOutstanding;
         cfg.initialNodes = {0, 0, 0, 0};
         fleet::FleetSimulator sim(cfg, {node});
         const fleet::FleetMetrics m = sim.run(trace);
-        t.addRow({spec ? "speculative" : "autoregressive",
-                  spec ? fmtInt(m.specVerifySteps) : std::string("-"),
-                  spec ? fmt(serve::specMeanAcceptedLen(m), 2)
+        t.addRow({on ? "speculative" : "autoregressive",
+                  on ? fmtInt(m.specVerifySteps) : std::string("-"),
+                  on ? fmt(serve::specMeanAcceptedLen(m), 2)
                        : std::string("-"),
                   fmt(1e3 * m.itl.p99, 1), fmt(m.tokensPerSecond),
                   fmt(m.costPer1kTokens, 4)});
@@ -409,66 +386,68 @@ traceRepresentativeRun(const bench::ObsOptions &opt)
 int
 main(int argc, char **argv)
 {
+    serve::ServerConfig from_flags; // node policies the flags set
+    serve::SharedPrefixMix mix;
     bench::ObsOptions opt;
-    bench::PrefixOptions popt;
-    bench::ChunkOptions copt;
-    bench::SpecOptions sopt;
-    serve::KvMode kv_mode = serve::KvMode::Reserved;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            usage(std::cout);
-            return 0;
-        }
-        if (bench::parseKvArg(kv_mode, argc, argv, i))
-            continue;
-        if (bench::parsePrefixArg(popt, argc, argv, i))
-            continue;
-        if (bench::parseChunkArg(copt, argc, argv, i))
-            continue;
-        if (bench::parseSpecArg(sopt, argc, argv, i))
-            continue;
-        if (bench::parseObsArg(opt, argc, argv, i))
-            continue;
-        std::cerr << "fleet_capacity: unknown argument '" << argv[i]
-                  << "'\n";
-        usage(std::cerr);
-        return 2;
-    }
+    const Flags flags = concatFlags({
+        {
+            choiceFlag("--kv", from_flags.kvMode, serve::kKvModeNames,
+                       "KV discipline on every node of the sweep: "
+                       "whole-request block reservation or headroom "
+                       "admission with recompute preemption"),
+            choiceFlag("--prefix", from_flags.prefixMode,
+                       serve::kPrefixModeNames,
+                       "sharing scope of the prefix-caching comparison "
+                       "on a paged 4-node TDX fleet; off skips it"),
+        },
+        bench::prefixMixFlags(mix),
+        bench::chunkFlags(from_flags.chunkedPrefill),
+        bench::specFlags(from_flags.specDecode),
+        bench::obsFlags(opt),
+    });
+    parseFlags(
+        "fleet_capacity",
+        "Sizes CPU-TDX, cGPU and mixed cost-aware fleets to the TTFT SLO\n"
+        "across offered loads and reports $/1k tokens per composition.\n"
+        "--prefix, --chunk and --spec each add a 4-node TDX comparison.",
+        flags, argc, argv);
 
     bench::banner(
         "Fleet capacity", "cost crossover as fleet composition",
         "CPU TEEs cheapest at low utilisation; GPU-CC amortises at "
         "high rates (Figs. 12-13 at fleet scale)");
-    if (kv_mode == serve::KvMode::Paged)
+    const serve::ChunkedPrefillPolicy &chunk = from_flags.chunkedPrefill;
+    const serve::SpecDecodePolicy &spec = from_flags.specDecode;
+    if (from_flags.kvMode == serve::KvMode::Paged)
         std::cout << "KV discipline: paged (headroom admission, "
                      "recompute preemption)\n\n";
-    if (copt.mode != serve::ChunkMode::Off)
+    if (chunk.mode != serve::ChunkMode::Off)
         std::cout << "chunked prefill: "
-                  << serve::chunkModeName(copt.mode) << " priority, "
-                  << copt.chunkTokens << "-token slices\n\n";
-    if (sopt.enabled)
-        std::cout << "speculative decoding: k=" << sopt.draftTokens
+                  << serve::kChunkModeNames.name(chunk.mode)
+                  << " priority, " << chunk.chunkTokens
+                  << "-token slices\n\n";
+    if (spec.enabled)
+        std::cout << "speculative decoding: k=" << spec.draftTokens
                   << " drafts, cost ratio "
-                  << fmt(sopt.draftCostRatio, 2) << ", acceptance "
-                  << fmt(sopt.acceptProb, 2) << "\n\n";
+                  << fmt(spec.draftCostRatio, 2) << ", acceptance "
+                  << fmt(spec.acceptProb, 2) << "\n\n";
 
     const std::vector<double> rates = {0.25, 0.5, 1.0, 2.0,
                                        4.0, 8.0};
     std::cout << "--- paper SLO: TTFT 2 s ---\n";
-    sweep(2.0, rates, kv_mode, copt, sopt);
+    sweep(2.0, rates, from_flags);
     std::cout << "--- tightened SLO: TTFT 0.5 s (crossover moves "
                  "toward the GPU) ---\n";
-    sweep(0.5, rates, kv_mode, copt, sopt);
+    sweep(0.5, rates, from_flags);
 
-    if (popt.mode != serve::PrefixMode::Off)
-        prefixComparison(popt);
+    if (from_flags.prefixMode != serve::PrefixMode::Off)
+        prefixComparison(from_flags.prefixMode, mix);
 
-    if (copt.mode != serve::ChunkMode::Off)
-        chunkedComparison(copt);
+    if (chunk.mode != serve::ChunkMode::Off)
+        chunkedComparison(chunk);
 
-    if (sopt.enabled)
-        specComparison(sopt);
+    if (spec.enabled)
+        specComparison(spec);
 
     if (opt.trace)
         traceRepresentativeRun(opt);

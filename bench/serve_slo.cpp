@@ -14,8 +14,7 @@
  * retries, sheds, and downtime, plus the JSON event timeline.
  */
 
-#include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -36,44 +35,6 @@ using bench::serveSeedWorkload;
 using bench::sharedBackend;
 
 namespace {
-
-void
-usage(std::ostream &os)
-{
-    os << "usage: serve_slo [--faults [seed]] [--kv-sweep] "
-          "[--prefix-sweep] [--chunk-sweep] [--spec-sweep] "
-          "[--trace [path]] [--metrics-out path]\n\n"
-          "  --faults [seed]     run the resilience experiment "
-          "(seeded fault schedule\n"
-          "                      against a TDX deployment) instead of "
-          "the SLO sweep;\n"
-          "                      seed defaults to 1\n"
-          "  --kv-sweep          run the paged-vs-reserved KV "
-          "discipline sweep (fixed\n"
-          "                      pool sizes; recompute and "
-          "swap-to-EPC preemption)\n"
-          "  --prefix-sweep      run the prefix-caching sweep "
-          "(off/per_tenant/global\n"
-          "                      sharing on a shared-system-prompt "
-          "mix; TTFT and\n"
-          "                      $/1k-token deltas); honours the "
-          "--prefix-* mix flags\n"
-          "  --chunk-sweep       run the chunked-prefill sweep "
-          "(monolithic baseline vs\n"
-          "                      64..512-token slices; TTFT/ITL "
-          "percentiles, max\n"
-          "                      single-step prefill tokens, "
-          "$/1k-token deltas)\n"
-          "  --spec-sweep        run the speculative-decoding sweep "
-          "(draft depth k = 1..8\n"
-          "                      vs a non-speculative baseline; "
-          "accepted length,\n"
-          "                      verify steps, ITL percentiles, "
-          "$/1k-token deltas);\n"
-          "                      honours --spec-ratio / --spec-accept\n"
-       << bench::prefixUsage() << bench::chunkUsage()
-       << bench::specUsage() << bench::obsUsage();
-}
 
 /** Export the recorded trace and report where it went. */
 void
@@ -191,7 +152,8 @@ runKvSweepMode(const bench::ObsOptions &opt)
         KvPreemptPolicy preempt;
     };
     const Variant variants[] = {
-        {"reserved", KvMode::Reserved, KvPreemptPolicy::Recompute},
+        {kKvModeNames.name(KvMode::Reserved), KvMode::Reserved,
+         KvPreemptPolicy::Recompute},
         {"paged/recompute", KvMode::Paged,
          KvPreemptPolicy::Recompute},
         {"paged/swap-epc", KvMode::Paged, KvPreemptPolicy::SwapToEpc},
@@ -248,17 +210,17 @@ runKvSweepMode(const bench::ObsOptions &opt)
 }
 
 int
-runPrefixSweepMode(const bench::PrefixOptions &popt,
+runPrefixSweepMode(const SharedPrefixMix &mix,
                    const bench::ObsOptions &opt)
 {
     std::cout << "=== Prefix caching: radix-tree KV reuse on a TDX "
                  "deployment ===\n";
     std::cout << "Llama2-7B bf16, paged KV (2560 blocks x 16 "
                  "tokens); shared-system-prompt mix:\n"
-              << popt.mix.tenants << " tenants, "
-              << popt.mix.promptsPerTenant << " prompts/tenant, "
-              << popt.mix.prefixLen << "-token shared prefixes, "
-              << fmtPct(100.0 * popt.mix.sharedFraction)
+              << mix.tenants << " tenants, "
+              << mix.promptsPerTenant << " prompts/tenant, "
+              << mix.prefixLen << "-token shared prefixes, "
+              << fmtPct(100.0 * mix.sharedFraction)
               << " of requests shared\n\n";
 
     const hw::CpuSpec cpu = hw::emr2();
@@ -266,7 +228,7 @@ runPrefixSweepMode(const bench::PrefixOptions &popt,
     const llm::RunParams deploy = serveDeployParams(cpu);
 
     std::vector<Request> base = generateWorkload(serveSeedWorkload());
-    applySharedPrefixMix(base, popt.mix);
+    applySharedPrefixMix(base, mix);
 
     // Spot-priced node bill, so the prefill seconds a cache hit
     // saves show up as a $/1k-token delta.
@@ -279,20 +241,17 @@ runPrefixSweepMode(const bench::PrefixOptions &popt,
 
     struct Run
     {
-        const char *name;
         PrefixMode mode;
         ServeMetrics m{};
         double usdPer1k = 0.0;
     };
-    Run runs[] = {
-        {"off", PrefixMode::Off},
-        {"per_tenant", PrefixMode::PerTenant},
-        {"global", PrefixMode::Global},
-    };
+    Run runs[] = {{PrefixMode::Off}, {PrefixMode::PerTenant},
+                  {PrefixMode::Global}};
 
     Table t({"prefix mode", "hit rate", "prefill tok", "TTFT p50 [s]",
              "TTFT p95 [s]", "tok/s", "$/1k tok"});
     for (Run &run : runs) {
+        const std::string name = kPrefixModeNames.name(run.mode);
         ServerConfig cfg;
         cfg.policy = BatchPolicy::Continuous;
         cfg.kvBlocks = 2560;
@@ -304,7 +263,7 @@ runPrefixSweepMode(const bench::PrefixOptions &popt,
         if (opt.trace) {
             cfg.tracer = &tracer;
             cfg.traceLane = lane;
-            tracer.laneName(lane, std::string("prefix ") + run.name);
+            tracer.laneName(lane, "prefix " + name);
         }
         ++lane;
         Server server(
@@ -315,7 +274,7 @@ runPrefixSweepMode(const bench::PrefixOptions &popt,
         run.usdPer1k = cost::costPer1kTokens(
             run.m.outputTokens,
             cost::nodeSecondsUsd(instance_hr, run.m.makespan));
-        t.addRow({run.name,
+        t.addRow({name,
                   run.m.prefixEnabled
                       ? fmtPct(100.0 * prefixHitRate(run.m))
                       : std::string("-"),
@@ -332,14 +291,15 @@ runPrefixSweepMode(const bench::PrefixOptions &popt,
     json.beginObject();
     json.field("pool_blocks", 2560);
     json.field("block_tokens", 16);
-    json.field("tenants", popt.mix.tenants);
-    json.field("prefix_len", popt.mix.prefixLen);
-    json.field("shared_fraction", popt.mix.sharedFraction);
+    json.field("tenants", mix.tenants);
+    json.field("prefix_len", mix.prefixLen);
+    json.field("shared_fraction", mix.sharedFraction);
     json.key("runs");
     json.beginArray();
     for (const Run &run : runs) {
         json.beginObject();
-        json.field("prefix_mode", std::string(run.name));
+        json.field("prefix_mode",
+                   std::string(kPrefixModeNames.name(run.mode)));
         json.field("ttft_p50_s", run.m.ttft.p50);
         json.field("ttft_p95_s", run.m.ttft.p95);
         json.field("tokens_per_s", run.m.tokensPerSecond);
@@ -406,7 +366,7 @@ runChunkSweepMode(const bench::ObsOptions &opt)
         double usdPer1k = 0.0;
     };
     std::vector<Run> runs;
-    runs.push_back({"off", 0});
+    runs.push_back({kChunkModeNames.name(ChunkMode::Off), 0});
     for (unsigned chunk : {64u, 128u, 256u, 512u})
         runs.push_back({"chunk " + std::to_string(chunk), chunk});
 
@@ -453,7 +413,8 @@ runChunkSweepMode(const bench::ObsOptions &opt)
     json.beginObject();
     json.field("pool_blocks", 2560);
     json.field("block_tokens", 16);
-    json.field("mode", std::string("decode"));
+    json.field("mode", std::string(kChunkModeNames.name(
+                           ChunkMode::DecodePriority)));
     json.key("runs");
     json.beginArray();
     for (const Run &run : runs) {
@@ -494,7 +455,7 @@ runChunkSweepMode(const bench::ObsOptions &opt)
 }
 
 int
-runSpecSweepMode(const bench::SpecOptions &sopt,
+runSpecSweepMode(const SpecDecodePolicy &spec,
                  const bench::ObsOptions &opt)
 {
     std::cout << "=== Speculative decoding: amortizing per-step TEE "
@@ -502,8 +463,8 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
     std::cout << "Llama2-7B bf16 on TDX, paged KV (2560 blocks x 16 "
                  "tokens); non-speculative\nbaseline vs draft depth "
                  "k = 1..8 (draft cost ratio "
-              << fmt(sopt.draftCostRatio, 2) << ", acceptance "
-              << fmt(sopt.acceptProb, 2) << ")\n\n";
+              << fmt(spec.draftCostRatio, 2) << ", acceptance "
+              << fmt(spec.acceptProb, 2) << ")\n\n";
 
     const hw::CpuSpec cpu = hw::emr2();
     const llm::ModelConfig model = llm::llama2_7b();
@@ -547,10 +508,9 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
         cfg.paged.kvBytesPerToken =
             model.kvBytesPerToken(hw::Dtype::Bf16);
         if (run.draftTokens) {
-            bench::SpecOptions per_k = sopt;
-            per_k.enabled = true;
-            per_k.draftTokens = run.draftTokens;
-            bench::applySpecDecode(cfg, per_k);
+            cfg.specDecode = spec;
+            cfg.specDecode.enabled = true;
+            cfg.specDecode.draftTokens = run.draftTokens;
         }
         if (opt.trace) {
             cfg.tracer = &tracer;
@@ -582,8 +542,8 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
     json.beginObject();
     json.field("pool_blocks", 2560);
     json.field("block_tokens", 16);
-    json.field("draft_cost_ratio", sopt.draftCostRatio);
-    json.field("accept_prob", sopt.acceptProb);
+    json.field("draft_cost_ratio", spec.draftCostRatio);
+    json.field("accept_prob", spec.acceptProb);
     json.key("runs");
     json.beginArray();
     for (const Run &run : runs) {
@@ -625,9 +585,7 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
 }
 
 int
-runSloMode(const bench::ChunkOptions &copt,
-           const bench::SpecOptions &sopt,
-           const bench::ObsOptions &opt)
+runSloMode(const ServerConfig &from_flags, const bench::ObsOptions &opt)
 {
     std::cout << "=== Serving extension: SLO attainment under TEEs "
                  "===\n";
@@ -639,24 +597,35 @@ runSloMode(const bench::ChunkOptions &copt,
     const llm::RunParams deploy = serveDeployParams(cpu);
     const WorkloadConfig load = serveSeedWorkload();
 
+    // Each run builds a fresh step model from its deployment's
+    // factory; Server owns the model it is given.
     struct Deployment
     {
-        std::string name;
-        std::unique_ptr<StepModel> step;
+        const char *name;
+        std::function<std::unique_ptr<StepModel>()> make;
     };
-    std::vector<Deployment> deployments;
-    deployments.push_back(
-        {"CPU bare", makeCpuStepModel(cpu, sharedBackend(tee::makeBareMetal()),
-                                      model, deploy)});
-    deployments.push_back(
-        {"CPU TDX", makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()), model,
-                                     deploy)});
-    deployments.push_back(
-        {"GPU raw", makeGpuStepModel(hw::h100Nvl(), false, model,
-                                     hw::Dtype::Bf16)});
-    deployments.push_back(
-        {"cGPU", makeGpuStepModel(hw::h100Nvl(), true, model,
-                                  hw::Dtype::Bf16)});
+    const Deployment deployments[] = {
+        {"CPU bare",
+         [&] {
+             return makeCpuStepModel(
+                 cpu, sharedBackend(tee::makeBareMetal()), model, deploy);
+         }},
+        {"CPU TDX",
+         [&] {
+             return makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
+                                     model, deploy);
+         }},
+        {"GPU raw",
+         [&] {
+             return makeGpuStepModel(hw::h100Nvl(), false, model,
+                                     hw::Dtype::Bf16);
+         }},
+        {"cGPU",
+         [&] {
+             return makeGpuStepModel(hw::h100Nvl(), true, model,
+                                     hw::Dtype::Bf16);
+         }},
+    };
 
     // One trace lane per (policy, deployment) run.
     obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
@@ -669,16 +638,15 @@ runSloMode(const bench::ChunkOptions &copt,
                   << " batching ---\n";
         Table t({"deployment", "tok/s", "TTFT p50 [s]", "TTFT p95 [s]",
                  "TPOT p95 [ms]", "SLO attainment", "avg batch"});
-        for (auto &d : deployments) {
+        for (const Deployment &d : deployments) {
             ServerConfig cfg;
             cfg.policy = policy;
             // The static-batch rows are the paper's fixed-batch
             // baseline, so they stay monolithic and non-speculative
             // by choice; the engine would serve either feature.
             if (policy == BatchPolicy::Continuous) {
-                bench::applyChunkedPrefill(cfg, copt);
-                if (sopt.enabled)
-                    bench::applySpecDecode(cfg, sopt);
+                cfg.chunkedPrefill = from_flags.chunkedPrefill;
+                cfg.specDecode = from_flags.specDecode;
             }
             if (opt.trace) {
                 cfg.tracer = &tracer;
@@ -688,19 +656,7 @@ runSloMode(const bench::ChunkOptions &copt,
                                           " / " + d.name);
             }
             ++lane;
-            // Re-create the step models per run is unnecessary; Server
-            // borrows, so build a fresh server around the same model.
-            Server server(
-                d.name.rfind("CPU", 0) == 0
-                    ? makeCpuStepModel(
-                          cpu,
-                          sharedBackend(d.name == "CPU TDX"
-                                     ? tee::makeTdx()
-                                     : tee::makeBareMetal()),
-                          model, deploy)
-                    : makeGpuStepModel(hw::h100Nvl(), d.name == "cGPU",
-                                       model, hw::Dtype::Bf16),
-                cfg);
+            Server server(d.make(), cfg);
             const ServeMetrics m = server.run(generateWorkload(load));
             t.addRow({d.name, fmt(m.tokensPerSecond),
                       fmt(m.ttft.p50, 2), fmt(m.ttft.p95, 2),
@@ -717,72 +673,89 @@ runSloMode(const bench::ChunkOptions &copt,
     return 0;
 }
 
+/** The study a run performs; the mode flags are mutually exclusive. */
+enum class Study
+{
+    Slo,
+    Faults,
+    KvSweep,
+    PrefixSweep,
+    ChunkSweep,
+    SpecSweep,
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bench::ObsOptions opt;
-    bench::PrefixOptions popt;
-    bench::ChunkOptions copt;
-    bench::SpecOptions sopt;
-    bool fault_mode = false;
-    bool kv_sweep = false;
-    bool prefix_sweep = false;
-    bool chunk_sweep = false;
-    bool spec_sweep = false;
+    Study study = Study::Slo;
     std::uint64_t fault_seed = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            usage(std::cout);
-            return 0;
-        }
-        if (std::strcmp(argv[i], "--faults") == 0) {
-            fault_mode = true;
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                fault_seed = parseNumber<std::uint64_t>("--faults",
-                                                        argv[++i]);
-            continue;
-        }
-        if (std::strcmp(argv[i], "--kv-sweep") == 0) {
-            kv_sweep = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--prefix-sweep") == 0) {
-            prefix_sweep = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--chunk-sweep") == 0) {
-            chunk_sweep = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--spec-sweep") == 0) {
-            spec_sweep = true;
-            continue;
-        }
-        if (bench::parsePrefixArg(popt, argc, argv, i))
-            continue;
-        if (bench::parseChunkArg(copt, argc, argv, i))
-            continue;
-        if (bench::parseSpecArg(sopt, argc, argv, i))
-            continue;
-        if (bench::parseObsArg(opt, argc, argv, i))
-            continue;
-        std::cerr << "serve_slo: unknown argument '" << argv[i]
-                  << "'\n";
-        usage(std::cerr);
-        return 2;
-    }
-    if (fault_mode)
+    SharedPrefixMix mix;
+    ServerConfig from_flags; // chunk and spec policies of the SLO runs
+    bench::ObsOptions opt;
+    const Flags flags = concatFlags({
+        {
+            {"--faults", "[seed]",
+             "run the resilience experiment (seeded fault schedule "
+             "against a TDX deployment) instead of the SLO sweep "
+             "(default seed " +
+                 std::to_string(fault_seed) + ")",
+             [&](const char *v) {
+                 study = Study::Faults;
+                 if (v)
+                     fault_seed =
+                         parseNumber<std::uint64_t>("--faults", v);
+             },
+             &study},
+            pickFlag("--kv-sweep", study, Study::KvSweep,
+                     "run the paged-vs-reserved KV discipline sweep "
+                     "(fixed pool sizes; recompute and swap-to-EPC "
+                     "preemption)"),
+            pickFlag("--prefix-sweep", study, Study::PrefixSweep,
+                     "run the prefix-caching sweep (" +
+                         kPrefixModeNames.choices() +
+                         " sharing on a shared-system-prompt mix; TTFT "
+                         "and $/1k-token deltas); honours the "
+                         "--prefix-* mix flags"),
+            pickFlag("--chunk-sweep", study, Study::ChunkSweep,
+                     "run the chunked-prefill sweep (monolithic "
+                     "baseline vs 64..512-token slices; TTFT/ITL "
+                     "percentiles, max single-step prefill tokens, "
+                     "$/1k-token deltas)"),
+            pickFlag("--spec-sweep", study, Study::SpecSweep,
+                     "run the speculative-decoding sweep (draft depth "
+                     "k = 1..8 vs a non-speculative baseline; accepted "
+                     "length, verify steps, ITL percentiles, "
+                     "$/1k-token deltas); honours --spec-ratio / "
+                     "--spec-accept"),
+        },
+        bench::prefixMixFlags(mix),
+        bench::chunkFlags(from_flags.chunkedPrefill),
+        bench::specFlags(from_flags.specDecode),
+        bench::obsFlags(opt),
+    });
+    parseFlags(
+        "serve_slo",
+        "Replays a seeded Poisson trace against CPU (bare, TDX) and GPU\n"
+        "(raw, cGPU) deployments under continuous and static batching and\n"
+        "reports TTFT/TPOT percentiles and SLO attainment. A mode flag\n"
+        "(--faults or a --*-sweep) runs that study instead; at most one.",
+        flags, argc, argv);
+
+    switch (study) {
+      case Study::Slo:
+        return runSloMode(from_flags, opt);
+      case Study::Faults:
         return runFaultMode(fault_seed, opt);
-    if (kv_sweep)
+      case Study::KvSweep:
         return runKvSweepMode(opt);
-    if (prefix_sweep)
-        return runPrefixSweepMode(popt, opt);
-    if (chunk_sweep)
+      case Study::PrefixSweep:
+        return runPrefixSweepMode(mix, opt);
+      case Study::ChunkSweep:
         return runChunkSweepMode(opt);
-    if (spec_sweep)
-        return runSpecSweepMode(sopt, opt);
-    return runSloMode(copt, sopt, opt);
+      case Study::SpecSweep:
+        return runSpecSweepMode(from_flags.specDecode, opt);
+    }
+    return 1;
 }

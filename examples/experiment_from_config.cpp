@@ -19,54 +19,6 @@
 
 using namespace cllm;
 
-namespace {
-
-llm::ModelConfig
-modelByName(const std::string &name)
-{
-    if (name == "7b")
-        return llm::llama2_7b();
-    if (name == "13b")
-        return llm::llama2_13b();
-    if (name == "70b")
-        return llm::llama2_70b();
-    if (name == "llama3")
-        return llm::llama3_8b();
-    if (name == "mixtral")
-        return llm::mixtral_8x7b();
-    cllm_fatal("unknown model '", name, "'");
-}
-
-core::Backend
-backendByName(const std::string &name)
-{
-    if (name == "bare")
-        return core::Backend::Bare;
-    if (name == "vm")
-        return core::Backend::Vm;
-    if (name == "vmth")
-        return core::Backend::VmTh;
-    if (name == "sgx")
-        return core::Backend::Sgx;
-    if (name == "tdx")
-        return core::Backend::Tdx;
-    cllm_fatal("unknown backend '", name, "'");
-}
-
-hw::Dtype
-dtypeByName(const std::string &name)
-{
-    if (name == "fp32")
-        return hw::Dtype::Fp32;
-    if (name == "bf16")
-        return hw::Dtype::Bf16;
-    if (name == "int8")
-        return hw::Dtype::Int8;
-    cllm_fatal("unknown dtype '", name, "'");
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -84,11 +36,8 @@ main(int argc, char **argv)
     const Config &cfg = parsed.config;
 
     core::Experiment exp;
-    const std::string machine =
-        cfg.getString("machine", "name", "emr1");
-    const hw::CpuSpec cpu = machine == "emr2"   ? hw::emr2()
-                            : machine == "spr" ? hw::spr()
-                                               : hw::emr1();
+    const hw::CpuSpec cpu =
+        hw::kCpuPresets.parse(cfg.getString("machine", "name", "emr1"))();
 
     struct Row
     {
@@ -115,13 +64,13 @@ main(int argc, char **argv)
         p.cores =
             static_cast<unsigned>(cfg.getInt(section, "cores", 0));
         p.dtype =
-            dtypeByName(cfg.getString(section, "dtype", "bf16"));
+            hw::kDtypeNames.parse(cfg.getString(section, "dtype", "bf16"));
         p.amx = cfg.getBool(section, "amx", true);
 
-        const auto model =
-            modelByName(cfg.getString(section, "model", "7b"));
-        const auto backend =
-            backendByName(cfg.getString(section, "backend", "tdx"));
+        const auto model = llm::kModelPresets.parse(
+            cfg.getString(section, "model", "7b"))();
+        const auto backend = core::kBackendNames.parse(
+            cfg.getString(section, "backend", "tdx"));
 
         const auto r = exp.runCpu(cpu, backend, model, p);
         const auto base =

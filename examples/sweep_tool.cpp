@@ -2,26 +2,18 @@
  * @file
  * cllm sweep tool: a small CLI over the public API so deployments can
  * be explored without writing C++. Prints one row per configuration,
- * optionally as CSV.
- *
- * Usage:
- *   sweep_tool [--model 7b|13b|70b|llama3|gptj|falcon]
- *              [--machine emr1|emr2|spr]
- *              [--backend bare|vm|vmth|vmnb|sgx|tdx|all]
- *              [--dtype fp32|bf16|int8] [--batch N[,N...]]
- *              [--input N] [--output N] [--beam N]
- *              [--sockets N] [--cores N] [--no-amx] [--csv]
+ * optionally as CSV. `sweep_tool --help` lists the flags.
  */
 
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/flags.hh"
 #include "core/experiment.hh"
 #include "util/config.hh"
-#include "util/logging.hh"
 #include "util/table.hh"
 
 using namespace cllm;
@@ -39,139 +31,61 @@ parseList(const std::string &s)
     return out;
 }
 
-llm::ModelConfig
-modelByName(const std::string &name)
-{
-    if (name == "7b")
-        return llm::llama2_7b();
-    if (name == "13b")
-        return llm::llama2_13b();
-    if (name == "70b")
-        return llm::llama2_70b();
-    if (name == "llama3")
-        return llm::llama3_8b();
-    if (name == "gptj")
-        return llm::gptj_6b();
-    if (name == "falcon")
-        return llm::falcon_7b();
-    cllm_fatal("unknown model '", name,
-               "' (7b|13b|70b|llama3|gptj|falcon)");
-}
-
-hw::CpuSpec
-machineByName(const std::string &name)
-{
-    if (name == "emr1")
-        return hw::emr1();
-    if (name == "emr2")
-        return hw::emr2();
-    if (name == "spr")
-        return hw::spr();
-    cllm_fatal("unknown machine '", name, "' (emr1|emr2|spr)");
-}
-
-hw::Dtype
-dtypeByName(const std::string &name)
-{
-    if (name == "fp32")
-        return hw::Dtype::Fp32;
-    if (name == "bf16")
-        return hw::Dtype::Bf16;
-    if (name == "int8")
-        return hw::Dtype::Int8;
-    cllm_fatal("unknown dtype '", name, "' (fp32|bf16|int8)");
-}
-
-std::vector<core::Backend>
-backendsByName(const std::string &name)
-{
-    if (name == "bare")
-        return {core::Backend::Bare};
-    if (name == "vm")
-        return {core::Backend::Vm};
-    if (name == "vmth")
-        return {core::Backend::VmTh};
-    if (name == "vmnb")
-        return {core::Backend::VmNb};
-    if (name == "sgx")
-        return {core::Backend::Sgx};
-    if (name == "tdx")
-        return {core::Backend::Tdx};
-    if (name == "all") {
-        return {core::Backend::Bare, core::Backend::Vm,
-                core::Backend::Sgx, core::Backend::Tdx};
-    }
-    cllm_fatal("unknown backend '", name, "'");
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string model_name = "7b", machine_name = "emr1";
-    std::string backend_name = "all", dtype_name = "bf16";
+    const std::vector<core::Backend> all = {
+        core::Backend::Bare, core::Backend::Vm, core::Backend::Sgx,
+        core::Backend::Tdx};
+    llm::ModelPreset model_preset = llm::llama2_7b;
+    hw::CpuPreset machine = hw::emr1;
+    std::vector<core::Backend> backends = all;
     std::vector<unsigned> batches = {1};
-    unsigned in_len = 1024, out_len = 128, beam = 1;
-    unsigned sockets = 1, cores = 0;
-    bool amx = true, csv = false;
+    llm::RunParams p;
+    bool csv = false;
+    const Flags flags = {
+        choiceFlag("--model", model_preset, llm::kModelPresets,
+                   "model preset"),
+        choiceFlag("--machine", machine, hw::kCpuPresets,
+                   "machine preset"),
+        {"--backend",
+         std::string("<") + core::kBackendNames.choices() + "|all>",
+         "backend to run against bare metal; all = bare, vm, sgx and "
+         "tdx (default all)",
+         [&](const char *v) {
+             backends = std::string_view(v) == "all"
+                            ? all
+                            : std::vector{core::kBackendNames.parse(v)};
+         }},
+        choiceFlag("--dtype", p.dtype, hw::kDtypeNames,
+                   "weight and activation dtype"),
+        {"--batch", "N[,N...]", "batch sizes, one row each (default 1)",
+         [&](const char *v) { batches = parseList(v); }},
+        numberFlag("--input", p.inLen, "prompt tokens", 1),
+        numberFlag("--output", p.outLen, "generated tokens", 1),
+        numberFlag("--beam", p.beam, "beam width", 1),
+        numberFlag("--sockets", p.sockets, "sockets used", 1),
+        numberFlag("--cores", p.cores,
+                   "total cores; 0 = all cores of the sockets", 0),
+        switchFlag("--no-amx", p.amx, "disable AMX tiles", false),
+        switchFlag("--csv", csv, "print CSV instead of a table"),
+    };
+    parseFlags("sweep_tool",
+               "Runs every (backend, batch) pair through the CPU timing "
+               "model and prints\nthroughput, latency and the overhead "
+               "versus bare metal.",
+               flags, argc, argv);
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                cllm_fatal("missing value for ", arg);
-            return argv[++i];
-        };
-        if (arg == "--model")
-            model_name = next();
-        else if (arg == "--machine")
-            machine_name = next();
-        else if (arg == "--backend")
-            backend_name = next();
-        else if (arg == "--dtype")
-            dtype_name = next();
-        else if (arg == "--batch")
-            batches = parseList(next());
-        else if (arg == "--input")
-            in_len = parseNumber<unsigned>(arg, next(), 1);
-        else if (arg == "--output")
-            out_len = parseNumber<unsigned>(arg, next(), 1);
-        else if (arg == "--beam")
-            beam = parseNumber<unsigned>(arg, next(), 1);
-        else if (arg == "--sockets")
-            sockets = parseNumber<unsigned>(arg, next(), 1);
-        else if (arg == "--cores")
-            cores = parseNumber<unsigned>(arg, next());
-        else if (arg == "--no-amx")
-            amx = false;
-        else if (arg == "--csv")
-            csv = true;
-        else if (arg == "--help" || arg == "-h") {
-            std::cout << "see the file header for usage\n";
-            return 0;
-        } else {
-            cllm_fatal("unknown argument '", arg, "'");
-        }
-    }
-
-    const llm::ModelConfig model = modelByName(model_name);
-    const hw::CpuSpec cpu = machineByName(machine_name);
-    const auto backends = backendsByName(backend_name);
+    const llm::ModelConfig model = model_preset();
+    const hw::CpuSpec cpu = machine();
 
     core::Experiment exp;
     Table t({"backend", "batch", "tput [tok/s]", "e2e [tok/s]",
              "latency [ms/tok]", "overhead vs bare"});
     for (unsigned batch : batches) {
-        llm::RunParams p;
         p.batch = batch;
-        p.beam = beam;
-        p.inLen = in_len;
-        p.outLen = out_len;
-        p.dtype = dtypeByName(dtype_name);
-        p.amx = amx;
-        p.sockets = sockets;
-        p.cores = cores;
         const auto bare =
             exp.runCpu(cpu, core::Backend::Bare, model, p);
         for (core::Backend b : backends) {
@@ -184,7 +98,8 @@ main(int argc, char **argv)
         }
     }
     std::cout << model.name << " on " << cpu.name << ", "
-              << dtype_name << (amx ? " (AMX)" : " (no AMX)") << "\n";
+              << hw::kDtypeNames.name(p.dtype)
+              << (p.amx ? " (AMX)" : " (no AMX)") << "\n";
     if (csv)
         t.printCsv(std::cout);
     else

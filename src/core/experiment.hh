@@ -21,6 +21,7 @@
 #include "llm/perf_cpu.hh"
 #include "llm/perf_gpu.hh"
 #include "tee/backend.hh"
+#include "util/names.hh"
 
 namespace cllm::core {
 
@@ -37,6 +38,15 @@ enum class Backend
 
 /** Printable backend name. */
 const char *backendName(Backend b);
+
+/** Backend spellings on the command line and in config files. */
+inline constexpr auto kBackendNames = nameTable<Backend>(
+    "backend", {{Backend::Bare, "bare"},
+                {Backend::Vm, "vm"},
+                {Backend::VmTh, "vmth"},
+                {Backend::VmNb, "vmnb"},
+                {Backend::Sgx, "sgx"},
+                {Backend::Tdx, "tdx"}});
 
 /** Construct the TeeBackend model for an enum value. */
 std::unique_ptr<tee::TeeBackend> makeBackend(Backend b);

@@ -4,20 +4,6 @@
 
 namespace cllm::hw {
 
-const char *
-dtypeName(Dtype t)
-{
-    switch (t) {
-      case Dtype::Fp32:
-        return "fp32";
-      case Dtype::Bf16:
-        return "bf16";
-      case Dtype::Int8:
-        return "int8";
-    }
-    return "?";
-}
-
 double
 CpuSpec::peakOps(Dtype dtype, bool amx, unsigned cores) const
 {

@@ -15,6 +15,7 @@
 
 #include "mem/numa.hh"
 #include "mem/tlb.hh"
+#include "util/names.hh"
 
 namespace cllm::hw {
 
@@ -36,8 +37,10 @@ dtypeBytes(Dtype t)
     return 4.0;
 }
 
-/** Printable dtype name. */
-const char *dtypeName(Dtype t);
+/** Dtype spellings (`--dtype`, config files, table headers). */
+inline constexpr auto kDtypeNames = nameTable<Dtype>(
+    "dtype",
+    {{Dtype::Fp32, "fp32"}, {Dtype::Bf16, "bf16"}, {Dtype::Int8, "int8"}});
 
 /** Per-core matrix-math throughput in ops per cycle. */
 struct CoreThroughput
@@ -83,6 +86,13 @@ CpuSpec emr2();
 
 /** Cheaper Sapphire Rapids machine, ~40% slower (Section V-D). */
 CpuSpec spr();
+
+/** A machine preset's factory. */
+using CpuPreset = CpuSpec (*)();
+
+/** Machine spellings (`--machine`, config files). */
+inline constexpr auto kCpuPresets = nameTable<CpuPreset>(
+    "machine", {{emr1, "emr1"}, {emr2, "emr2"}, {spr, "spr"}});
 
 } // namespace cllm::hw
 

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "hw/cpu.hh"
+#include "util/names.hh"
 
 namespace cllm::llm {
 
@@ -95,6 +96,19 @@ ModelConfig baichuan2_7b();
 ModelConfig qwen_7b();
 /** Mixtral-8x7B-style MoE (46.7B total, ~12.9B active). */
 ModelConfig mixtral_8x7b();
+
+/** A model preset's factory. */
+using ModelPreset = ModelConfig (*)();
+
+/** Model spellings (`--model`, config files). */
+inline constexpr auto kModelPresets = nameTable<ModelPreset>(
+    "model", {{llama2_7b, "7b"},
+              {llama2_13b, "13b"},
+              {llama2_70b, "70b"},
+              {llama3_8b, "llama3"},
+              {gptj_6b, "gptj"},
+              {falcon_7b, "falcon"},
+              {mixtral_8x7b, "mixtral"}});
 
 } // namespace cllm::llm
 

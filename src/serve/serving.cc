@@ -107,28 +107,6 @@ batchPolicyName(BatchPolicy p)
 }
 
 const char *
-kvModeName(KvMode m)
-{
-    switch (m) {
-      case KvMode::Reserved:
-        return "reserved";
-      case KvMode::Paged:
-        return "paged";
-    }
-    return "?";
-}
-
-KvMode
-parseKvMode(const std::string &name)
-{
-    if (name == "reserved")
-        return KvMode::Reserved;
-    if (name == "paged")
-        return KvMode::Paged;
-    cllm_fatal("unknown KV mode '", name, "' (reserved|paged)");
-}
-
-const char *
 kvPreemptPolicyName(KvPreemptPolicy p)
 {
     switch (p) {
@@ -138,60 +116,6 @@ kvPreemptPolicyName(KvPreemptPolicy p)
         return "swap";
     }
     return "?";
-}
-
-const char *
-prefixModeName(PrefixMode m)
-{
-    switch (m) {
-      case PrefixMode::Off:
-        return "off";
-      case PrefixMode::PerTenant:
-        return "per_tenant";
-      case PrefixMode::Global:
-        return "global";
-    }
-    return "?";
-}
-
-PrefixMode
-parsePrefixMode(const std::string &name)
-{
-    if (name == "off")
-        return PrefixMode::Off;
-    if (name == "per_tenant")
-        return PrefixMode::PerTenant;
-    if (name == "global")
-        return PrefixMode::Global;
-    cllm_fatal("unknown prefix mode '", name,
-               "' (off|per_tenant|global)");
-}
-
-const char *
-chunkModeName(ChunkMode m)
-{
-    switch (m) {
-      case ChunkMode::Off:
-        return "off";
-      case ChunkMode::DecodePriority:
-        return "decode";
-      case ChunkMode::PrefillPriority:
-        return "prefill";
-    }
-    return "?";
-}
-
-ChunkMode
-parseChunkMode(const std::string &name)
-{
-    if (name == "off")
-        return ChunkMode::Off;
-    if (name == "decode")
-        return ChunkMode::DecodePriority;
-    if (name == "prefill")
-        return ChunkMode::PrefillPriority;
-    cllm_fatal("unknown chunk mode '", name,
-               "' (off|decode|prefill)");
 }
 
 void

@@ -29,6 +29,7 @@
 #include "serve/counters.hh"
 #include "tee/backend.hh"
 #include "tee/session.hh"
+#include "util/names.hh"
 #include "util/stats.hh"
 
 namespace cllm::obs {
@@ -165,11 +166,9 @@ enum class KvMode
     Paged,
 };
 
-/** Printable KV-mode name. */
-const char *kvModeName(KvMode m);
-
-/** Parse "reserved"/"paged" (fatal on anything else). */
-KvMode parseKvMode(const std::string &name);
+/** KV-mode spellings (`--kv`, sweep rows). */
+inline constexpr auto kKvModeNames = nameTable<KvMode>(
+    "KV mode", {{KvMode::Reserved, "reserved"}, {KvMode::Paged, "paged"}});
 
 /** How a paged engine resolves KV exhaustion. */
 enum class KvPreemptPolicy
@@ -235,11 +234,11 @@ enum class PrefixMode
     Global,
 };
 
-/** Printable prefix-mode name. */
-const char *prefixModeName(PrefixMode m);
-
-/** Parse "off"/"per_tenant"/"global" (fatal on anything else). */
-PrefixMode parsePrefixMode(const std::string &name);
+/** Prefix-mode spellings (`--prefix`, sweep rows, JSON, lanes). */
+inline constexpr auto kPrefixModeNames = nameTable<PrefixMode>(
+    "prefix mode", {{PrefixMode::Off, "off"},
+                    {PrefixMode::PerTenant, "per_tenant"},
+                    {PrefixMode::Global, "global"}});
 
 /** Prefix-cache tuning; only read when `prefixMode` is not Off. */
 struct PrefixCachePolicy
@@ -269,11 +268,11 @@ enum class ChunkMode
     PrefillPriority, //!< prefill slices claim first, decode rides
 };
 
-/** Printable chunk-mode name. */
-const char *chunkModeName(ChunkMode m);
-
-/** Parse "off"/"decode"/"prefill" (fatal on anything else). */
-ChunkMode parseChunkMode(const std::string &name);
+/** Chunk-mode spellings (`--chunk`, sweep rows and JSON). */
+inline constexpr auto kChunkModeNames = nameTable<ChunkMode>(
+    "chunk mode", {{ChunkMode::Off, "off"},
+                   {ChunkMode::DecodePriority, "decode"},
+                   {ChunkMode::PrefillPriority, "prefill"}});
 
 /** Chunked-prefill tuning; only read when `mode` is not Off. */
 struct ChunkedPrefillPolicy

@@ -23,12 +23,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "golden_util.hh"
 #include "serve/engine.hh"
 #include "serve/serving.hh"
@@ -369,9 +371,69 @@ TEST(ChunkRegression, ModeNamesRoundTrip)
 {
     for (ChunkMode mode : {ChunkMode::Off, ChunkMode::DecodePriority,
                            ChunkMode::PrefillPriority})
-        EXPECT_EQ(parseChunkMode(chunkModeName(mode)), mode);
-    EXPECT_DEATH(parseChunkMode("bogus"), "unknown chunk mode");
+        EXPECT_EQ(kChunkModeNames.parse(kChunkModeNames.name(mode)), mode);
+    EXPECT_DEATH(kChunkModeNames.parse("bogus"), "unknown chunk mode");
 }
+
+/** One name table, type-erased so a single TEST_P covers them all. */
+struct NameTableCase
+{
+    std::string label;
+    std::string unknown; //!< expected start of the parse fatal
+    std::vector<std::string> names;
+    /** parse(name) lands on the entry's value and prints back. */
+    std::function<bool(std::size_t)> roundTrips;
+    std::function<void(const std::string &)> parse;
+};
+
+template <typename T, std::size_t N>
+NameTableCase
+nameCase(std::string label, std::string unknown,
+         const NameTable<T, N> &table)
+{
+    NameTableCase c{std::move(label), std::move(unknown), {}, {}, {}};
+    for (const Named<T> &e : table.entries)
+        c.names.push_back(e.name);
+    c.roundTrips = [&table](std::size_t i) {
+        const Named<T> &e = table.entries[i];
+        return table.parse(e.name) == e.value &&
+               std::string(table.name(e.value)) == e.name;
+    };
+    c.parse = [&table](const std::string &s) { table.parse(s); };
+    return c;
+}
+
+class NameTables : public ::testing::TestWithParam<NameTableCase>
+{
+};
+
+TEST_P(NameTables, RoundTrip)
+{
+    const NameTableCase &c = GetParam();
+    std::string choices;
+    for (std::size_t i = 0; i < c.names.size(); ++i) {
+        EXPECT_TRUE(c.roundTrips(i)) << c.names[i];
+        for (std::size_t j = 0; j < i; ++j)
+            EXPECT_NE(c.names[i], c.names[j]);
+        choices += (i ? "\\|" : "") + c.names[i];
+    }
+    EXPECT_DEATH(c.parse("bogus"),
+                 c.unknown + " 'bogus' \\(" + choices + "\\)");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Every, NameTables,
+    ::testing::Values(
+        nameCase("chunk_mode", "unknown chunk mode", kChunkModeNames),
+        nameCase("kv_mode", "unknown KV mode", kKvModeNames),
+        nameCase("prefix_mode", "unknown prefix mode", kPrefixModeNames),
+        nameCase("dtype", "unknown dtype", hw::kDtypeNames),
+        nameCase("backend", "unknown backend", core::kBackendNames),
+        nameCase("model", "unknown model", llm::kModelPresets),
+        nameCase("machine", "unknown machine", hw::kCpuPresets)),
+    [](const ::testing::TestParamInfo<NameTableCase> &info) {
+        return info.param.label;
+    });
 
 TEST(ChunkDeath, ZeroChunkSizeIsFatal)
 {

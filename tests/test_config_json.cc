@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the INI configuration parser and the streaming JSON
- * writer.
+ * Tests for the INI configuration parser, the streaming JSON writer
+ * and the bench flag tables that share its strict number parsing.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -140,34 +141,69 @@ TEST(ConfigDeath, MalformedDoubleFatal)
 
 namespace {
 
-/** Run one argv through the shared numeric bench-flag parsers. */
+/** Run `args` through parseFlags as the argv of a tool named "bench". */
 void
-parseBenchFlag(std::vector<std::string> args)
+runFlags(const Flags &flags, std::vector<std::string> args)
 {
     args.insert(args.begin(), "bench");
     std::vector<char *> argv;
     for (std::string &a : args)
         argv.push_back(a.data());
-    const int argc = static_cast<int>(argv.size());
-    bench::PrefixOptions prefix;
-    bench::ChunkOptions chunk;
-    bench::SpecOptions spec;
-    for (int i = 1; i < argc; ++i) {
-        if (!bench::parsePrefixArg(prefix, argc, argv.data(), i) &&
-            !bench::parseChunkArg(chunk, argc, argv.data(), i) &&
-            !bench::parseSpecArg(spec, argc, argv.data(), i))
-            FAIL() << "unhandled flag " << argv[i];
-    }
+    parseFlags("bench", "", flags, static_cast<int>(argv.size()),
+               argv.data());
+}
+
+/** The policies the shared bench flags write into. */
+struct BenchFlagTargets
+{
+    serve::SharedPrefixMix mix;
+    serve::ChunkedPrefillPolicy chunk;
+    serve::SpecDecodePolicy spec;
+};
+
+/** Run one argv through the shared bench flag table. */
+BenchFlagTargets
+parseBenchFlag(std::vector<std::string> args)
+{
+    BenchFlagTargets t;
+    runFlags(concatFlags({bench::prefixMixFlags(t.mix),
+                          bench::chunkFlags(t.chunk),
+                          bench::specFlags(t.spec)}),
+             std::move(args));
+    return t;
 }
 
 } // namespace
 
 TEST(BenchFlags, WellFormedNumericFlagsParse)
 {
-    parseBenchFlag({"--prefix-tenants", "3", "--prefix-len", "0",
-                    "--prefix-share", "1", "--chunk-tokens", "64",
-                    "--chunk-budget", "0", "--spec-k", "2",
-                    "--spec-ratio", "0.2", "--spec-accept", "0"});
+    const BenchFlagTargets t = parseBenchFlag(
+        {"--prefix-tenants", "3", "--prefix-len", "0",
+         "--prefix-share", "1", "--chunk-tokens", "64",
+         "--chunk-budget", "0", "--spec-k", "2",
+         "--spec-ratio", "0.2", "--spec-accept", "0"});
+    // Flags write straight into the serve:: policies; untouched
+    // fields keep the policies' own defaults.
+    EXPECT_EQ(t.mix.tenants, 3u);
+    EXPECT_EQ(t.mix.prefixLen, 0u);
+    EXPECT_EQ(t.mix.sharedFraction, 1.0);
+    EXPECT_EQ(t.mix.promptsPerTenant,
+              serve::SharedPrefixMix{}.promptsPerTenant);
+    EXPECT_EQ(t.chunk.mode, serve::ChunkMode::Off);
+    EXPECT_EQ(t.chunk.chunkTokens, 64u);
+    EXPECT_EQ(t.chunk.stepTokenBudget, 0u);
+    EXPECT_FALSE(t.spec.enabled);
+    EXPECT_EQ(t.spec.draftTokens, 2u);
+    EXPECT_EQ(t.spec.draftCostRatio, 0.2);
+    EXPECT_EQ(t.spec.acceptProb, 0.0);
+}
+
+TEST(BenchFlags, ModeAndSwitchFlagsParse)
+{
+    const BenchFlagTargets t =
+        parseBenchFlag({"--chunk", "prefill", "--spec"});
+    EXPECT_EQ(t.chunk.mode, serve::ChunkMode::PrefillPriority);
+    EXPECT_TRUE(t.spec.enabled);
 }
 
 TEST(BenchFlagsDeath, NumericFlagsAreStrict)
@@ -189,6 +225,78 @@ TEST(BenchFlagsDeath, NumericFlagsAreStrict)
     EXPECT_DEATH(parseBenchFlag({"--spec-accept", "1.5"}),
                  "--spec-accept = '1.5' outside");
     EXPECT_DEATH(parseBenchFlag({"--spec-k"}), "--spec-k needs a value");
+}
+
+TEST(BenchFlagsDeath, UnknownFlagExitsTwoWithUsage)
+{
+    EXPECT_EXIT(parseBenchFlag({"--prefix", "global"}),
+                ::testing::ExitedWithCode(2),
+                "bench: unknown argument '--prefix'");
+    EXPECT_DEATH(
+        parseBenchFlag({"--chunk", "bogus"}),
+        "unknown chunk mode 'bogus' \\(off\\|decode\\|prefill\\)");
+}
+
+namespace {
+
+enum class Pick { None, A, B };
+
+/** A two-mode table plus an optional-operand flag, for the parser. */
+struct PickTargets
+{
+    Pick pick = Pick::None;
+    bool traced = false;
+    std::string path;
+};
+
+PickTargets
+parsePick(std::vector<std::string> args)
+{
+    PickTargets t;
+    const Flags flags = {
+        pickFlag("--a", t.pick, Pick::A, "mode a"),
+        pickFlag("--b", t.pick, Pick::B, "mode b"),
+        {"--trace", "[path]", "trace, optionally to path",
+         [&t](const char *v) {
+             t.traced = true;
+             if (v)
+                 t.path = v;
+         }},
+    };
+    runFlags(flags, std::move(args));
+    return t;
+}
+
+} // namespace
+
+TEST(BenchFlags, OptionalOperandStopsAtTheNextFlag)
+{
+    PickTargets t = parsePick({"--trace", "--a"});
+    EXPECT_TRUE(t.traced);
+    EXPECT_EQ(t.path, "");
+    EXPECT_EQ(t.pick, Pick::A);
+    t = parsePick({"--a", "--a", "--trace", "out.json"});
+    EXPECT_EQ(t.path, "out.json");
+}
+
+TEST(BenchFlagsDeath, PickFlagsAreMutuallyExclusive)
+{
+    EXPECT_DEATH(parsePick({"--a", "--b"}),
+                 "--a and --b are mutually exclusive");
+}
+
+TEST(BenchFlags, UsageIsGeneratedFromTheTable)
+{
+    serve::ChunkedPrefillPolicy chunk;
+    std::ostringstream os;
+    printUsage(os, "tool", "Synopsis.", bench::chunkFlags(chunk));
+    const std::string usage = os.str();
+    EXPECT_NE(usage.find("usage: tool [flags]\n\nSynopsis.\n"),
+              std::string::npos);
+    EXPECT_NE(usage.find("--chunk <off|decode|prefill>"),
+              std::string::npos);
+    EXPECT_NE(usage.find("(>= 1, default 256)"), std::string::npos);
+    EXPECT_NE(usage.find("--help"), std::string::npos);
 }
 
 TEST(Json, FlatObject)

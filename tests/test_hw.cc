@@ -21,9 +21,9 @@ TEST(Dtype, ByteSizes)
 
 TEST(Dtype, Names)
 {
-    EXPECT_STREQ(dtypeName(Dtype::Fp32), "fp32");
-    EXPECT_STREQ(dtypeName(Dtype::Bf16), "bf16");
-    EXPECT_STREQ(dtypeName(Dtype::Int8), "int8");
+    EXPECT_STREQ(kDtypeNames.name(Dtype::Fp32), "fp32");
+    EXPECT_STREQ(kDtypeNames.name(Dtype::Bf16), "bf16");
+    EXPECT_STREQ(kDtypeNames.name(Dtype::Int8), "int8");
 }
 
 TEST(CpuSpec, AmxMultipliesBf16Throughput)

@@ -86,7 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PerfCase> &info) {
         std::string name =
             std::string(core::backendName(std::get<0>(info.param))) +
-            "_" + hw::dtypeName(std::get<1>(info.param)) + "_b" +
+            "_" + hw::kDtypeNames.name(std::get<1>(info.param)) + "_b" +
             std::to_string(std::get<2>(info.param));
         for (auto &c : name) {
             if (!std::isalnum(static_cast<unsigned char>(c)))
@@ -647,11 +647,11 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(serve::BatchPolicy::Continuous,
                           serve::BatchPolicy::Static)),
     [](const ::testing::TestParamInfo<KvEngineCase> &info) {
-        return std::string(serve::kvModeName(
+        return std::string(serve::kKvModeNames.name(
                    std::get<0>(info.param))) +
                "_blk" + std::to_string(std::get<1>(info.param)) +
                "_s" + std::to_string(std::get<2>(info.param)) + "_" +
-               serve::chunkModeName(std::get<3>(info.param)) +
+               serve::kChunkModeNames.name(std::get<3>(info.param)) +
                policySuffix(std::get<4>(info.param));
     });
 
@@ -803,10 +803,10 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(serve::BatchPolicy::Continuous,
                           serve::BatchPolicy::Static)),
     [](const ::testing::TestParamInfo<SpecEngineCase> &info) {
-        return std::string(serve::kvModeName(
+        return std::string(serve::kKvModeNames.name(
                    std::get<0>(info.param))) +
                "_" +
-               serve::chunkModeName(std::get<1>(info.param)) +
+               serve::kChunkModeNames.name(std::get<1>(info.param)) +
                "_s" + std::to_string(std::get<2>(info.param)) +
                policySuffix(std::get<3>(info.param));
     });
