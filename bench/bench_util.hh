@@ -7,6 +7,7 @@
 #define CLLM_BENCH_BENCH_UTIL_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "fault/schedule.hh"
 #include "llm/perf_cluster.hh"
 #include "obs/metrics.hh"
 #include "par/pool.hh"
@@ -110,7 +112,7 @@ chunkFlags(serve::ChunkedPrefillPolicy &chunk)
     };
 }
 
-/** The speculative-decoding flags. */
+/** The speculative-decoding switch and draft depth. */
 inline Flags
 specFlags(serve::SpecDecodePolicy &spec)
 {
@@ -120,6 +122,14 @@ specFlags(serve::SpecDecodePolicy &spec)
                    "steps; amortizes per-step TEE overheads)"),
         numberFlag("--spec-k", spec.draftTokens,
                    "draft tokens per verify cycle", 1),
+    };
+}
+
+/** The draft-model flags of speculative decoding. */
+inline Flags
+draftFlags(serve::SpecDecodePolicy &spec)
+{
+    return {
         numberFlag("--spec-ratio", spec.draftCostRatio,
                    "draft-model cost as a fraction of the target's "
                    "decode step",
@@ -214,6 +224,39 @@ serveDeployParams(const hw::CpuSpec &cpu)
     p.sockets = 1;
     p.cores = cpu.coresPerSocket;
     return p;
+}
+
+/**
+ * serve_slo's fault study: the seeded schedule of attestation
+ * failures, enclave restarts, EPC paging storms and KV exhaustion
+ * over the seed trace, injected into a 4096-block TDX server running
+ * the timeout/retry/shedding policy.
+ */
+inline serve::ServerConfig
+serveFaultConfig(std::uint64_t seed, const llm::ModelConfig &model)
+{
+    fault::FaultScheduleConfig fs;
+    fs.seed = seed;
+    fs.horizon = 700.0;
+    fs.attestFail = {1.0 / 120.0, 4.0, 0.0};
+    fs.enclaveRestart = {1.0 / 250.0, 0.0, 0.0};
+    fs.epcStorm = {1.0 / 90.0, 10.0,
+                   fault::epcStormSlowdown(6ULL << 30, 4ULL << 30,
+                                           0.5)};
+    fs.kvExhaustion = {1.0 / 150.0, 15.0, 0.5};
+
+    serve::ServerConfig cfg;
+    cfg.kvBlocks = 4096;
+    cfg.kvBlockTokens = 16;
+    cfg.faults = fault::FaultSchedule::generate(fs);
+    cfg.weightBytes = model.weightBytes(hw::Dtype::Bf16);
+    cfg.resilience.requestTimeout = 120.0;
+    cfg.resilience.maxRetries = 3;
+    cfg.resilience.retryBackoff = 0.5;
+    cfg.resilience.shedOnKvPressure = true;
+    cfg.resilience.shedThreshold = 0.95;
+    cfg.resilience.degradedMaxBatch = 8;
+    return cfg;
 }
 
 /** The seed-99 trace replayed by the serving and fleet studies:

@@ -170,6 +170,39 @@ sweep(double ttft_slo, const std::vector<double> &rates,
     std::cout << "\n";
 }
 
+/** The paged cpu-tdx node of the 4-node comparisons. */
+fleet::NodeTemplate
+pagedTdxNode()
+{
+    fleet::NodeTemplate cpu = fleet::cpuTdxNode();
+    bench::applyPagedKv(cpu.server, llm::llama2_7b());
+    return cpu;
+}
+
+/** The 1.2 req/s, 400-request trace the 4-node comparisons replay. */
+std::vector<serve::Request>
+comparisonTrace()
+{
+    serve::WorkloadConfig load = bench::serveSeedWorkload();
+    load.arrivalRate = 1.2;
+    load.numRequests = 400;
+    return serve::generateWorkload(load);
+}
+
+/** Replay `trace` on a 4-node fleet of `node` under the 2 s TTFT SLO. */
+fleet::FleetMetrics
+runFourNodes(const fleet::NodeTemplate &node,
+             const std::vector<serve::Request> &trace,
+             fleet::RouterPolicy policy =
+                 fleet::RouterPolicy::LeastOutstanding)
+{
+    fleet::FleetConfig cfg;
+    cfg.ttftSlo = 2.0;
+    cfg.policy = policy;
+    cfg.initialNodes = {0, 0, 0, 0};
+    return fleet::FleetSimulator(cfg, {node}).run(trace);
+}
+
 /**
  * Prefix-caching comparison on a homogeneous 4-node TDX fleet: the
  * same shared-system-prompt trace replayed with caching off, caching
@@ -189,14 +222,8 @@ prefixComparison(serve::PrefixMode mode, const serve::SharedPrefixMix &mix)
               << fmtPct(100.0 * mix.sharedFraction)
               << " of requests shared\n\n";
 
-    const llm::ModelConfig model = llm::llama2_7b();
-    fleet::NodeTemplate cpu = fleet::cpuTdxNode();
-    bench::applyPagedKv(cpu.server, model);
-
-    serve::WorkloadConfig load = bench::serveSeedWorkload();
-    load.arrivalRate = 1.2;
-    load.numRequests = 400;
-    std::vector<serve::Request> trace = serve::generateWorkload(load);
+    const fleet::NodeTemplate cpu = pagedTdxNode();
+    std::vector<serve::Request> trace = comparisonTrace();
     serve::applySharedPrefixMix(trace, mix);
 
     // Per-node cache budget sized below the distinct-prompt working
@@ -234,12 +261,7 @@ prefixComparison(serve::PrefixMode mode, const serve::SharedPrefixMix &mix)
             node.server.prefixMode = mode;
             node.server.prefix.maxBlocks = budget;
         }
-        fleet::FleetConfig cfg;
-        cfg.ttftSlo = 2.0;
-        cfg.policy = v.policy;
-        cfg.initialNodes = {0, 0, 0, 0};
-        fleet::FleetSimulator sim(cfg, {node});
-        const fleet::FleetMetrics m = sim.run(trace);
+        const fleet::FleetMetrics m = runFourNodes(node, trace, v.policy);
         if (!v.prefixOn)
             off_per_1k = m.costPer1kTokens;
         t.addRow(
@@ -269,15 +291,8 @@ chunkedComparison(const serve::ChunkedPrefillPolicy &chunk)
               << chunk.chunkTokens
               << "-token slices on a 4-node TDX fleet ---\n\n";
 
-    const llm::ModelConfig model = llm::llama2_7b();
-    fleet::NodeTemplate cpu = fleet::cpuTdxNode();
-    bench::applyPagedKv(cpu.server, model);
-
-    serve::WorkloadConfig load = bench::serveSeedWorkload();
-    load.arrivalRate = 1.2;
-    load.numRequests = 400;
-    const std::vector<serve::Request> trace =
-        serve::generateWorkload(load);
+    const fleet::NodeTemplate cpu = pagedTdxNode();
+    const std::vector<serve::Request> trace = comparisonTrace();
 
     Table t({"schedule", "max step pf", "TTFT p99 [s]",
              "ITL p99 [ms]", "tok/s", "$/1k tok"});
@@ -285,12 +300,7 @@ chunkedComparison(const serve::ChunkedPrefillPolicy &chunk)
         fleet::NodeTemplate node = cpu;
         if (chunked)
             node.server.chunkedPrefill = chunk;
-        fleet::FleetConfig cfg;
-        cfg.ttftSlo = 2.0;
-        cfg.policy = fleet::RouterPolicy::LeastOutstanding;
-        cfg.initialNodes = {0, 0, 0, 0};
-        fleet::FleetSimulator sim(cfg, {node});
-        const fleet::FleetMetrics m = sim.run(trace);
+        const fleet::FleetMetrics m = runFourNodes(node, trace);
         t.addRow({chunked ? "chunked" : "monolithic",
                   fmtInt(m.maxStepPrefillTokens), fmt(m.ttft.p99, 3),
                   chunked ? fmt(1e3 * m.itl.p99, 1)
@@ -316,15 +326,8 @@ specComparison(const serve::SpecDecodePolicy &spec)
               << ", acceptance " << fmt(spec.acceptProb, 2)
               << ") on a 4-node TDX fleet ---\n\n";
 
-    const llm::ModelConfig model = llm::llama2_7b();
-    fleet::NodeTemplate cpu = fleet::cpuTdxNode();
-    bench::applyPagedKv(cpu.server, model);
-
-    serve::WorkloadConfig load = bench::serveSeedWorkload();
-    load.arrivalRate = 1.2;
-    load.numRequests = 400;
-    const std::vector<serve::Request> trace =
-        serve::generateWorkload(load);
+    const fleet::NodeTemplate cpu = pagedTdxNode();
+    const std::vector<serve::Request> trace = comparisonTrace();
 
     Table t({"variant", "verify steps", "mean acc len",
              "ITL p99 [ms]", "tok/s", "$/1k tok"});
@@ -332,12 +335,7 @@ specComparison(const serve::SpecDecodePolicy &spec)
         fleet::NodeTemplate node = cpu;
         if (on)
             node.server.specDecode = spec;
-        fleet::FleetConfig cfg;
-        cfg.ttftSlo = 2.0;
-        cfg.policy = fleet::RouterPolicy::LeastOutstanding;
-        cfg.initialNodes = {0, 0, 0, 0};
-        fleet::FleetSimulator sim(cfg, {node});
-        const fleet::FleetMetrics m = sim.run(trace);
+        const fleet::FleetMetrics m = runFourNodes(node, trace);
         t.addRow({on ? "speculative" : "autoregressive",
                   on ? fmtInt(m.specVerifySteps) : std::string("-"),
                   on ? fmt(serve::specMeanAcceptedLen(m), 2)
@@ -403,6 +401,7 @@ main(int argc, char **argv)
         bench::prefixMixFlags(mix),
         bench::chunkFlags(from_flags.chunkedPrefill),
         bench::specFlags(from_flags.specDecode),
+        bench::draftFlags(from_flags.specDecode),
         bench::obsFlags(opt),
     });
     parseFlags(

@@ -7,11 +7,14 @@
  * attainment (200 ms/token, the paper's reading-speed bar), and
  * sustained tokens/s.
  *
- * With `--faults [seed]`, instead runs the resilience experiment: a
- * seeded fault schedule (attestation failures, enclave restarts, EPC
- * paging storms, KV exhaustion) is injected into a TDX deployment
- * under a retry/timeout/shedding policy, reporting availability,
- * retries, sheds, and downtime, plus the JSON event timeline.
+ * A study flag runs one of the other studies instead. With
+ * `--faults [seed]`, a seeded fault schedule (attestation failures,
+ * enclave restarts, EPC paging storms, KV exhaustion) is injected
+ * into a TDX deployment with and without a retry/timeout/shedding
+ * policy, reporting availability, retries, sheds, and downtime, plus
+ * the JSON event timeline. The `--*-sweep` studies compare KV
+ * disciplines, prefix caching, chunked prefill and speculative
+ * decoding on the same TDX deployment.
  */
 
 #include <functional>
@@ -21,7 +24,6 @@
 
 #include "bench_util.hh"
 #include "cost/pricing.hh"
-#include "fault/schedule.hh"
 #include "obs/chrome_export.hh"
 #include "obs/trace.hh"
 #include "serve/serving.hh"
@@ -30,25 +32,107 @@
 
 using namespace cllm;
 using namespace cllm::serve;
-using bench::serveDeployParams;
 using bench::serveSeedWorkload;
 using bench::sharedBackend;
 
 namespace {
 
-/** Export the recorded trace and report where it went. */
-void
-finishTrace(const obs::Tracer &tracer, const bench::ObsOptions &opt)
-{
-    const std::string out =
-        obs::traceOutputPath(opt.tracePath, "serve_slo.trace.json");
-    obs::writeChromeTraceFile(out, tracer, &obs::Registry::global());
-    std::cout << "wrote trace: " << out << " ("
-              << tracer.simEvents().size() << " events)\n";
-}
+/** Pool shape of the paged prefix, chunk and spec sweeps. */
+constexpr std::uint64_t kPoolBlocks = 2560;
+constexpr unsigned kBlockTokens = 16;
 
-int
-runFaultMode(std::uint64_t fault_seed, const bench::ObsOptions &opt)
+/**
+ * What every study shares: the Llama2-7B bf16 deployment on one EMR2
+ * socket, one tracer with one lane per run, a spot-priced node bill,
+ * and the trace-plus-metrics export at the end.
+ */
+struct Runs
+{
+    explicit Runs(const bench::ObsOptions &o)
+        : opt(o),
+          tracer(o.trace ? obs::TraceMode::Sim : obs::TraceMode::Off)
+    {
+    }
+
+    const bench::ObsOptions &opt;
+    const hw::CpuSpec cpu = hw::emr2();
+    const llm::ModelConfig model = llm::llama2_7b();
+    const llm::RunParams deploy = bench::serveDeployParams(cpu);
+    // Spot-priced node bill, so the seconds a feature saves show up
+    // as a $/1k-token delta.
+    const double instanceHr =
+        cost::cpuInstanceHr(cost::gcpSpotUsEast1(), deploy.cores, 256.0);
+    obs::Tracer tracer;
+    std::uint32_t lane = 0;
+
+    /** A fresh step model of the TDX deployment. */
+    std::unique_ptr<StepModel>
+    tdx() const
+    {
+        return makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
+                                model, deploy);
+    }
+
+    /** A continuous-batching config on a paged pool of `blocks`. */
+    ServerConfig
+    paged(std::uint64_t blocks = kPoolBlocks) const
+    {
+        ServerConfig cfg;
+        cfg.kvBlocks = blocks;
+        cfg.kvBlockTokens = kBlockTokens;
+        bench::applyPagedKv(cfg, model);
+        return cfg;
+    }
+
+    /** Replay `trace` on `step` under `cfg` in the next trace lane. */
+    ServeMetrics
+    serve(std::unique_ptr<StepModel> step, ServerConfig cfg,
+          const std::string &lane_name, std::vector<Request> trace)
+    {
+        if (opt.trace) {
+            cfg.tracer = &tracer;
+            cfg.traceLane = lane;
+            tracer.laneName(lane, lane_name);
+        }
+        ++lane;
+        return Server(std::move(step), cfg).run(std::move(trace));
+    }
+
+    /** The same, on the TDX deployment. */
+    ServeMetrics
+    serve(const ServerConfig &cfg, const std::string &lane_name,
+          std::vector<Request> trace)
+    {
+        return serve(tdx(), cfg, lane_name, std::move(trace));
+    }
+
+    /** $/1k generated tokens of a run on the spot-priced node. */
+    double
+    usdPer1k(const ServeMetrics &m) const
+    {
+        return cost::costPer1kTokens(
+            m.outputTokens, cost::nodeSecondsUsd(instanceHr, m.makespan));
+    }
+
+    /** Export the recorded trace and the metrics snapshot. */
+    int
+    finish() const
+    {
+        if (opt.trace) {
+            const std::string out = obs::traceOutputPath(
+                opt.tracePath, "serve_slo.trace.json");
+            obs::writeChromeTraceFile(out, tracer,
+                                      &obs::Registry::global());
+            std::cout << "wrote trace: " << out << " ("
+                      << tracer.simEvents().size() << " events)\n";
+        }
+        bench::writeMetricsSnapshot(opt.metricsOut);
+        return 0;
+    }
+};
+
+void
+runFaultStudy(Runs &runs, std::uint64_t fault_seed)
 {
     std::cout << "=== Serving under faults: resilience of a TDX "
                  "deployment ===\n";
@@ -56,62 +140,33 @@ runFaultMode(std::uint64_t fault_seed, const bench::ObsOptions &opt)
               << "; attestation failures, enclave restarts, EPC "
                  "storms, KV exhaustion\n\n";
 
-    const hw::CpuSpec cpu = hw::emr2();
-    const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = serveDeployParams(cpu);
-    const WorkloadConfig load = serveSeedWorkload();
+    const ServerConfig policy =
+        bench::serveFaultConfig(fault_seed, runs.model);
+    ServerConfig fault_free = policy;
+    fault_free.faults = {};
+    ServerConfig no_policy = policy;
+    no_policy.resilience = {};
 
-    fault::FaultScheduleConfig fs;
-    fs.seed = fault_seed;
-    fs.horizon = 700.0;
-    fs.attestFail = {1.0 / 120.0, 4.0, 0.0};
-    fs.enclaveRestart = {1.0 / 250.0, 0.0, 0.0};
-    fs.epcStorm = {1.0 / 90.0, 10.0,
-                   fault::epcStormSlowdown(6ULL << 30, 4ULL << 30,
-                                           0.5)};
-    fs.kvExhaustion = {1.0 / 150.0, 15.0, 0.5};
-
-    ServerConfig cfg;
-    cfg.policy = BatchPolicy::Continuous;
-    cfg.kvBlocks = 4096;
-    cfg.kvBlockTokens = 16;
-    cfg.faults = fault::FaultSchedule::generate(fs);
-    cfg.weightBytes = model.weightBytes(hw::Dtype::Bf16);
-    cfg.resilience.requestTimeout = 120.0;
-    cfg.resilience.maxRetries = 3;
-    cfg.resilience.retryBackoff = 0.5;
-    cfg.resilience.shedOnKvPressure = true;
-    cfg.resilience.shedThreshold = 0.95;
-    cfg.resilience.degradedMaxBatch = 8;
-
-    ServerConfig baseline = cfg;
-    baseline.faults = {};
-
-    // Lane 0 = fault-free baseline, lane 1 = faulty run, so both
-    // request timelines land side by side in the viewer.
-    obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
-                                 : obs::TraceMode::Off);
-    tracer.laneName(0, "TDX fault-free");
-    tracer.laneName(1, "TDX + faults");
+    struct Run
+    {
+        const char *name;
+        const ServerConfig &cfg;
+    };
+    const Run scenarios[] = {
+        {"TDX fault-free", fault_free},
+        {"TDX + faults", policy},
+        {"TDX + faults, no policy", no_policy},
+    };
 
     Table t({"run", "avail", "tok/s", "TTFT p95 [s]", "retries",
              "shed", "timeout", "restarts", "downtime [s]"});
     ServeMetrics faulty;
-    for (bool with_faults : {false, true}) {
-        ServerConfig run_cfg = with_faults ? cfg : baseline;
-        if (opt.trace) {
-            run_cfg.tracer = &tracer;
-            run_cfg.traceLane = with_faults ? 1 : 0;
-        }
-        Server server(
-            makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()), model,
-                             deploy),
-            run_cfg);
-        const ServeMetrics m = server.run(generateWorkload(load));
-        if (with_faults)
+    for (const Run &s : scenarios) {
+        const ServeMetrics m =
+            runs.serve(s.cfg, s.name, generateWorkload(serveSeedWorkload()));
+        if (&s.cfg == &policy)
             faulty = m;
-        t.addRow({with_faults ? "TDX + faults" : "TDX fault-free",
-                  fmtPct(100.0 * m.availability),
+        t.addRow({s.name, fmtPct(100.0 * m.availability),
                   fmt(m.tokensPerSecond), fmt(m.ttft.p95, 2),
                   fmtInt(m.retries), fmtInt(m.shed),
                   fmtInt(m.timedOut), fmtInt(m.restarts),
@@ -123,15 +178,10 @@ runFaultMode(std::uint64_t fault_seed, const bench::ObsOptions &opt)
     JsonWriter json(std::cout);
     writeMetrics(json, faulty);
     std::cout << "\n";
-
-    if (opt.trace)
-        finishTrace(tracer, opt);
-    bench::writeMetricsSnapshot(opt.metricsOut);
-    return 0;
 }
 
-int
-runKvSweepMode(const bench::ObsOptions &opt)
+void
+runKvSweep(Runs &runs)
 {
     std::cout << "=== Paged vs reserved KV: batch density at fixed "
                  "enclave memory ===\n";
@@ -139,11 +189,6 @@ runKvSweepMode(const bench::ObsOptions &opt)
                  "inLen+outLen blocks at admission,\n"
                  "paged admits by free-block headroom and preempts "
                  "(recompute or swap to EPC)\n\n";
-
-    const hw::CpuSpec cpu = hw::emr2();
-    const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = serveDeployParams(cpu);
-    const WorkloadConfig load = serveSeedWorkload();
 
     struct Variant
     {
@@ -159,10 +204,6 @@ runKvSweepMode(const bench::ObsOptions &opt)
         {"paged/swap-epc", KvMode::Paged, KvPreemptPolicy::SwapToEpc},
     };
 
-    obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
-                                 : obs::TraceMode::Off);
-    std::uint32_t lane = 0;
-
     for (std::uint64_t blocks : {768ULL, 1280ULL, 2560ULL}) {
         std::cout << "--- KV pool: " << blocks << " blocks x 16 "
                   << "tokens ---\n";
@@ -170,27 +211,12 @@ runKvSweepMode(const bench::ObsOptions &opt)
                  "peak batch", "KV mean", "KV peak", "preempts",
                  "swap [s]"});
         for (const Variant &v : variants) {
-            ServerConfig cfg;
-            cfg.policy = BatchPolicy::Continuous;
-            cfg.kvBlocks = blocks;
-            cfg.kvBlockTokens = 16;
+            ServerConfig cfg = runs.paged(blocks);
             cfg.kvMode = v.mode;
             cfg.paged.preempt = v.preempt;
-            cfg.paged.kvBytesPerToken =
-                model.kvBytesPerToken(hw::Dtype::Bf16);
-            if (opt.trace) {
-                cfg.tracer = &tracer;
-                cfg.traceLane = lane;
-                tracer.laneName(lane,
-                                std::to_string(blocks) + " blk / " +
-                                    v.name);
-            }
-            ++lane;
-            Server server(
-                makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
-                                 model, deploy),
-                cfg);
-            const ServeMetrics m = server.run(generateWorkload(load));
+            const ServeMetrics m = runs.serve(
+                cfg, std::to_string(blocks) + " blk / " + v.name,
+                generateWorkload(serveSeedWorkload()));
             t.addRow({v.name, fmtInt(m.completed),
                       fmt(m.tokensPerSecond), fmt(m.ttft.p95, 2),
                       fmtInt(static_cast<std::size_t>(
@@ -203,15 +229,10 @@ runKvSweepMode(const bench::ObsOptions &opt)
         t.print(std::cout);
         std::cout << "\n";
     }
-    if (opt.trace)
-        finishTrace(tracer, opt);
-    bench::writeMetricsSnapshot(opt.metricsOut);
-    return 0;
 }
 
-int
-runPrefixSweepMode(const SharedPrefixMix &mix,
-                   const bench::ObsOptions &opt)
+void
+runPrefixSweep(Runs &runs, const SharedPrefixMix &mix)
 {
     std::cout << "=== Prefix caching: radix-tree KV reuse on a TDX "
                  "deployment ===\n";
@@ -223,57 +244,24 @@ runPrefixSweepMode(const SharedPrefixMix &mix,
               << fmtPct(100.0 * mix.sharedFraction)
               << " of requests shared\n\n";
 
-    const hw::CpuSpec cpu = hw::emr2();
-    const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = serveDeployParams(cpu);
-
     std::vector<Request> base = generateWorkload(serveSeedWorkload());
     applySharedPrefixMix(base, mix);
-
-    // Spot-priced node bill, so the prefill seconds a cache hit
-    // saves show up as a $/1k-token delta.
-    const double instance_hr = cost::cpuInstanceHr(
-        cost::gcpSpotUsEast1(), deploy.cores, 256.0);
-
-    obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
-                                 : obs::TraceMode::Off);
-    std::uint32_t lane = 0;
 
     struct Run
     {
         PrefixMode mode;
         ServeMetrics m{};
-        double usdPer1k = 0.0;
     };
-    Run runs[] = {{PrefixMode::Off}, {PrefixMode::PerTenant},
-                  {PrefixMode::Global}};
+    Run sweep[] = {{PrefixMode::Off}, {PrefixMode::PerTenant},
+                   {PrefixMode::Global}};
 
     Table t({"prefix mode", "hit rate", "prefill tok", "TTFT p50 [s]",
              "TTFT p95 [s]", "tok/s", "$/1k tok"});
-    for (Run &run : runs) {
+    for (Run &run : sweep) {
         const std::string name = kPrefixModeNames.name(run.mode);
-        ServerConfig cfg;
-        cfg.policy = BatchPolicy::Continuous;
-        cfg.kvBlocks = 2560;
-        cfg.kvBlockTokens = 16;
-        cfg.kvMode = KvMode::Paged;
-        cfg.paged.kvBytesPerToken =
-            model.kvBytesPerToken(hw::Dtype::Bf16);
+        ServerConfig cfg = runs.paged();
         cfg.prefixMode = run.mode;
-        if (opt.trace) {
-            cfg.tracer = &tracer;
-            cfg.traceLane = lane;
-            tracer.laneName(lane, "prefix " + name);
-        }
-        ++lane;
-        Server server(
-            makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
-                             model, deploy),
-            cfg);
-        run.m = server.run(base);
-        run.usdPer1k = cost::costPer1kTokens(
-            run.m.outputTokens,
-            cost::nodeSecondsUsd(instance_hr, run.m.makespan));
+        run.m = runs.serve(cfg, "prefix " + name, base);
         t.addRow({name,
                   run.m.prefixEnabled
                       ? fmtPct(100.0 * prefixHitRate(run.m))
@@ -281,22 +269,22 @@ runPrefixSweepMode(const SharedPrefixMix &mix,
                   fmtInt(run.m.prefillTokensComputed),
                   fmt(run.m.ttft.p50, 3), fmt(run.m.ttft.p95, 3),
                   fmt(run.m.tokensPerSecond),
-                  fmt(run.usdPer1k, 5)});
+                  fmt(runs.usdPer1k(run.m), 5)});
     }
     t.print(std::cout);
 
-    const Run &off = runs[0];
+    const ServeMetrics &off = sweep[0].m;
     std::cout << "\nprefix sweep (JSON):\n";
     JsonWriter json(std::cout);
     json.beginObject();
-    json.field("pool_blocks", 2560);
-    json.field("block_tokens", 16);
+    json.field("pool_blocks", kPoolBlocks);
+    json.field("block_tokens", kBlockTokens);
     json.field("tenants", mix.tenants);
     json.field("prefix_len", mix.prefixLen);
     json.field("shared_fraction", mix.sharedFraction);
     json.key("runs");
     json.beginArray();
-    for (const Run &run : runs) {
+    for (const Run &run : sweep) {
         json.beginObject();
         json.field("prefix_mode",
                    std::string(kPrefixModeNames.name(run.mode)));
@@ -310,32 +298,25 @@ runPrefixSweepMode(const SharedPrefixMix &mix,
         json.field("prefill_tokens_computed",
                    run.m.prefillTokensComputed);
         json.field("prefix_evictions", run.m.prefixEvictions);
-        json.field("cost_per_1k_tokens_usd", run.usdPer1k);
+        json.field("cost_per_1k_tokens_usd", runs.usdPer1k(run.m));
         // Improvements over the cache-off baseline (positive =
         // caching won).
-        json.field("ttft_p50_improvement_s",
-                   off.m.ttft.p50 - run.m.ttft.p50);
-        json.field("ttft_p95_improvement_s",
-                   off.m.ttft.p95 - run.m.ttft.p95);
+        json.field("ttft_p50_improvement_s", off.ttft.p50 - run.m.ttft.p50);
+        json.field("ttft_p95_improvement_s", off.ttft.p95 - run.m.ttft.p95);
         json.field("prefill_tokens_saved",
-                   off.m.prefillTokensComputed -
+                   off.prefillTokensComputed -
                        run.m.prefillTokensComputed);
         json.field("cost_per_1k_tokens_improvement_usd",
-                   off.usdPer1k - run.usdPer1k);
+                   runs.usdPer1k(off) - runs.usdPer1k(run.m));
         json.endObject();
     }
     json.endArray();
     json.endObject();
     std::cout << "\n";
-
-    if (opt.trace)
-        finishTrace(tracer, opt);
-    bench::writeMetricsSnapshot(opt.metricsOut);
-    return 0;
 }
 
-int
-runChunkSweepMode(const bench::ObsOptions &opt)
+void
+runChunkSweep(Runs &runs)
 {
     std::cout << "=== Chunked prefill: bounding the per-step TEE "
                  "working set ===\n";
@@ -343,81 +324,49 @@ runChunkSweepMode(const bench::ObsOptions &opt)
                  "tokens); monolithic\nbaseline vs decode-priority "
                  "chunking at 64..512-token slices\n\n";
 
-    const hw::CpuSpec cpu = hw::emr2();
-    const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = serveDeployParams(cpu);
     const std::vector<Request> base =
         generateWorkload(serveSeedWorkload());
-
-    // Spot-priced node bill so the latency shift prices out as a
-    // $/1k-token delta, mirroring the prefix sweep.
-    const double instance_hr = cost::cpuInstanceHr(
-        cost::gcpSpotUsEast1(), deploy.cores, 256.0);
-
-    obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
-                                 : obs::TraceMode::Off);
-    std::uint32_t lane = 0;
 
     struct Run
     {
         std::string name;
         unsigned chunkTokens; //!< 0 = chunking off
         ServeMetrics m{};
-        double usdPer1k = 0.0;
     };
-    std::vector<Run> runs;
-    runs.push_back({kChunkModeNames.name(ChunkMode::Off), 0});
+    std::vector<Run> sweep;
+    sweep.push_back({kChunkModeNames.name(ChunkMode::Off), 0});
     for (unsigned chunk : {64u, 128u, 256u, 512u})
-        runs.push_back({"chunk " + std::to_string(chunk), chunk});
+        sweep.push_back({"chunk " + std::to_string(chunk), chunk});
 
     Table t({"schedule", "max step pf", "TTFT p50 [s]", "TTFT p99 [s]",
              "ITL p50 [ms]", "ITL p99 [ms]", "tok/s", "$/1k tok"});
-    for (Run &run : runs) {
-        ServerConfig cfg;
-        cfg.policy = BatchPolicy::Continuous;
-        cfg.kvBlocks = 2560;
-        cfg.kvBlockTokens = 16;
-        cfg.kvMode = KvMode::Paged;
-        cfg.paged.kvBytesPerToken =
-            model.kvBytesPerToken(hw::Dtype::Bf16);
+    for (Run &run : sweep) {
+        ServerConfig cfg = runs.paged();
         if (run.chunkTokens) {
             cfg.chunkedPrefill.mode = ChunkMode::DecodePriority;
             cfg.chunkedPrefill.chunkTokens = run.chunkTokens;
         }
-        if (opt.trace) {
-            cfg.tracer = &tracer;
-            cfg.traceLane = lane;
-            tracer.laneName(lane, "chunk " + run.name);
-        }
-        ++lane;
-        Server server(
-            makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
-                             model, deploy),
-            cfg);
-        run.m = server.run(base);
-        run.usdPer1k = cost::costPer1kTokens(
-            run.m.outputTokens,
-            cost::nodeSecondsUsd(instance_hr, run.m.makespan));
+        run.m = runs.serve(cfg, "chunk " + run.name, base);
         t.addRow({run.name, fmtInt(run.m.maxStepPrefillTokens),
                   fmt(run.m.ttft.p50, 3), fmt(run.m.ttft.p99, 3),
                   fmt(1e3 * run.m.itl.p50, 1),
                   fmt(1e3 * run.m.itl.p99, 1),
                   fmt(run.m.tokensPerSecond),
-                  fmt(run.usdPer1k, 5)});
+                  fmt(runs.usdPer1k(run.m), 5)});
     }
     t.print(std::cout);
 
-    const Run &off = runs[0];
+    const ServeMetrics &off = sweep[0].m;
     std::cout << "\nchunk sweep (JSON):\n";
     JsonWriter json(std::cout);
     json.beginObject();
-    json.field("pool_blocks", 2560);
-    json.field("block_tokens", 16);
+    json.field("pool_blocks", kPoolBlocks);
+    json.field("block_tokens", kBlockTokens);
     json.field("mode", std::string(kChunkModeNames.name(
                            ChunkMode::DecodePriority)));
     json.key("runs");
     json.beginArray();
-    for (const Run &run : runs) {
+    for (const Run &run : sweep) {
         json.beginObject();
         json.field("chunk_tokens", run.chunkTokens);
         json.field("max_step_prefill_tokens",
@@ -433,30 +382,23 @@ runChunkSweepMode(const bench::ObsOptions &opt)
         json.field("chunk_slices", run.m.chunkSlices);
         json.field("mixed_steps", run.m.mixedSteps);
         json.field("starvation_kicks", run.m.starvationKicks);
-        json.field("cost_per_1k_tokens_usd", run.usdPer1k);
+        json.field("cost_per_1k_tokens_usd", runs.usdPer1k(run.m));
         // Improvements over the monolithic baseline (positive =
         // chunking won).
-        json.field("itl_p99_improvement_s",
-                   off.m.itl.p99 - run.m.itl.p99);
+        json.field("itl_p99_improvement_s", off.itl.p99 - run.m.itl.p99);
         json.field("ttft_p99_improvement_s",
-                   off.m.ttft.p99 - run.m.ttft.p99);
+                   off.ttft.p99 - run.m.ttft.p99);
         json.field("cost_per_1k_tokens_improvement_usd",
-                   off.usdPer1k - run.usdPer1k);
+                   runs.usdPer1k(off) - runs.usdPer1k(run.m));
         json.endObject();
     }
     json.endArray();
     json.endObject();
     std::cout << "\n";
-
-    if (opt.trace)
-        finishTrace(tracer, opt);
-    bench::writeMetricsSnapshot(opt.metricsOut);
-    return 0;
 }
 
-int
-runSpecSweepMode(const SpecDecodePolicy &spec,
-                 const bench::ObsOptions &opt)
+void
+runSpecSweep(Runs &runs, const SpecDecodePolicy &spec)
 {
     std::cout << "=== Speculative decoding: amortizing per-step TEE "
                  "overheads ===\n";
@@ -466,9 +408,6 @@ runSpecSweepMode(const SpecDecodePolicy &spec,
               << fmt(spec.draftCostRatio, 2) << ", acceptance "
               << fmt(spec.acceptProb, 2) << ")\n\n";
 
-    const hw::CpuSpec cpu = hw::emr2();
-    const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = serveDeployParams(cpu);
     // The seed trace backed off to 0.40 req/s: at 0.45 the queue is
     // saturated enough that monolithic-prefill stalls, not decode
     // cadence, set the ITL tail, and deep drafts cannot shift it.
@@ -476,77 +415,48 @@ runSpecSweepMode(const SpecDecodePolicy &spec,
     load.arrivalRate = 0.40;
     const std::vector<Request> base = generateWorkload(load);
 
-    // Spot-priced node bill so fewer target steps price out as a
-    // $/1k-token delta, mirroring the chunk sweep.
-    const double instance_hr = cost::cpuInstanceHr(
-        cost::gcpSpotUsEast1(), deploy.cores, 256.0);
-
-    obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
-                                 : obs::TraceMode::Off);
-    std::uint32_t lane = 0;
-
     struct Run
     {
         std::string name;
         unsigned draftTokens; //!< 0 = speculation off
         ServeMetrics m{};
-        double usdPer1k = 0.0;
     };
-    std::vector<Run> runs;
-    runs.push_back({"off", 0});
+    std::vector<Run> sweep;
+    sweep.push_back({"off", 0});
     for (unsigned k = 1; k <= 8; ++k)
-        runs.push_back({"k=" + std::to_string(k), k});
+        sweep.push_back({"k=" + std::to_string(k), k});
 
     Table t({"run", "target steps", "mean acc len", "ITL p50 [ms]",
              "ITL p99 [ms]", "tok/s", "$/1k tok"});
-    for (Run &run : runs) {
-        ServerConfig cfg;
-        cfg.policy = BatchPolicy::Continuous;
-        cfg.kvBlocks = 2560;
-        cfg.kvBlockTokens = 16;
-        cfg.kvMode = KvMode::Paged;
-        cfg.paged.kvBytesPerToken =
-            model.kvBytesPerToken(hw::Dtype::Bf16);
+    for (Run &run : sweep) {
+        ServerConfig cfg = runs.paged();
         if (run.draftTokens) {
             cfg.specDecode = spec;
             cfg.specDecode.enabled = true;
             cfg.specDecode.draftTokens = run.draftTokens;
         }
-        if (opt.trace) {
-            cfg.tracer = &tracer;
-            cfg.traceLane = lane;
-            tracer.laneName(lane, "spec " + run.name);
-        }
-        ++lane;
-        Server server(
-            makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
-                             model, deploy),
-            cfg);
-        run.m = server.run(base);
-        run.usdPer1k = cost::costPer1kTokens(
-            run.m.outputTokens,
-            cost::nodeSecondsUsd(instance_hr, run.m.makespan));
+        run.m = runs.serve(cfg, "spec " + run.name, base);
         t.addRow({run.name, fmtInt(run.m.decodeSteps),
                   run.draftTokens ? fmt(specMeanAcceptedLen(run.m), 2)
                                   : std::string("-"),
                   fmt(1e3 * run.m.itl.p50, 1),
                   fmt(1e3 * run.m.itl.p99, 1),
                   fmt(run.m.tokensPerSecond),
-                  fmt(run.usdPer1k, 5)});
+                  fmt(runs.usdPer1k(run.m), 5)});
     }
     t.print(std::cout);
 
-    const Run &off = runs[0];
+    const ServeMetrics &off = sweep[0].m;
     std::cout << "\nspec sweep (JSON):\n";
     JsonWriter json(std::cout);
     json.beginObject();
-    json.field("pool_blocks", 2560);
-    json.field("block_tokens", 16);
+    json.field("pool_blocks", kPoolBlocks);
+    json.field("block_tokens", kBlockTokens);
     json.field("draft_cost_ratio", spec.draftCostRatio);
     json.field("accept_prob", spec.acceptProb);
     json.key("runs");
     json.beginArray();
-    for (const Run &run : runs) {
+    for (const Run &run : sweep) {
         json.beginObject();
         json.field("draft_tokens", run.draftTokens);
         json.field("spec_verify_steps", run.m.specVerifySteps);
@@ -563,39 +473,27 @@ runSpecSweepMode(const SpecDecodePolicy &spec,
         json.field("makespan_s", run.m.makespan);
         json.field("completed", run.m.completed);
         json.field("output_tokens", run.m.outputTokens);
-        json.field("cost_per_1k_tokens_usd", run.usdPer1k);
+        json.field("cost_per_1k_tokens_usd", runs.usdPer1k(run.m));
         // Improvements over the non-speculative baseline (positive =
         // speculation won).
-        json.field("itl_p50_improvement_s",
-                   off.m.itl.p50 - run.m.itl.p50);
-        json.field("itl_p99_improvement_s",
-                   off.m.itl.p99 - run.m.itl.p99);
+        json.field("itl_p50_improvement_s", off.itl.p50 - run.m.itl.p50);
+        json.field("itl_p99_improvement_s", off.itl.p99 - run.m.itl.p99);
         json.field("cost_per_1k_tokens_improvement_usd",
-                   off.usdPer1k - run.usdPer1k);
+                   runs.usdPer1k(off) - runs.usdPer1k(run.m));
         json.endObject();
     }
     json.endArray();
     json.endObject();
     std::cout << "\n";
-
-    if (opt.trace)
-        finishTrace(tracer, opt);
-    bench::writeMetricsSnapshot(opt.metricsOut);
-    return 0;
 }
 
-int
-runSloMode(const ServerConfig &from_flags, const bench::ObsOptions &opt)
+void
+runSloStudy(Runs &runs, const ServerConfig &from_flags)
 {
     std::cout << "=== Serving extension: SLO attainment under TEEs "
                  "===\n";
     std::cout << "Llama2-7B bf16; Poisson arrivals; TTFT SLO 2 s, "
                  "TPOT SLO 200 ms/token\n\n";
-
-    const hw::CpuSpec cpu = hw::emr2();
-    const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = serveDeployParams(cpu);
-    const WorkloadConfig load = serveSeedWorkload();
 
     // Each run builds a fresh step model from its deployment's
     // factory; Server owns the model it is given.
@@ -607,30 +505,22 @@ runSloMode(const ServerConfig &from_flags, const bench::ObsOptions &opt)
     const Deployment deployments[] = {
         {"CPU bare",
          [&] {
-             return makeCpuStepModel(
-                 cpu, sharedBackend(tee::makeBareMetal()), model, deploy);
+             return makeCpuStepModel(runs.cpu,
+                                     sharedBackend(tee::makeBareMetal()),
+                                     runs.model, runs.deploy);
          }},
-        {"CPU TDX",
-         [&] {
-             return makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
-                                     model, deploy);
-         }},
+        {"CPU TDX", [&] { return runs.tdx(); }},
         {"GPU raw",
          [&] {
-             return makeGpuStepModel(hw::h100Nvl(), false, model,
+             return makeGpuStepModel(hw::h100Nvl(), false, runs.model,
                                      hw::Dtype::Bf16);
          }},
         {"cGPU",
          [&] {
-             return makeGpuStepModel(hw::h100Nvl(), true, model,
+             return makeGpuStepModel(hw::h100Nvl(), true, runs.model,
                                      hw::Dtype::Bf16);
          }},
     };
-
-    // One trace lane per (policy, deployment) run.
-    obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
-                                 : obs::TraceMode::Off);
-    std::uint32_t lane = 0;
 
     for (BatchPolicy policy :
          {BatchPolicy::Continuous, BatchPolicy::Static}) {
@@ -648,16 +538,10 @@ runSloMode(const ServerConfig &from_flags, const bench::ObsOptions &opt)
                 cfg.chunkedPrefill = from_flags.chunkedPrefill;
                 cfg.specDecode = from_flags.specDecode;
             }
-            if (opt.trace) {
-                cfg.tracer = &tracer;
-                cfg.traceLane = lane;
-                tracer.laneName(lane, std::string(
-                                          batchPolicyName(policy)) +
-                                          " / " + d.name);
-            }
-            ++lane;
-            Server server(d.make(), cfg);
-            const ServeMetrics m = server.run(generateWorkload(load));
+            const ServeMetrics m = runs.serve(
+                d.make(), cfg,
+                std::string(batchPolicyName(policy)) + " / " + d.name,
+                generateWorkload(serveSeedWorkload()));
             t.addRow({d.name, fmt(m.tokensPerSecond),
                       fmt(m.ttft.p50, 2), fmt(m.ttft.p95, 2),
                       fmt(1e3 * m.tpot.p95, 1),
@@ -667,13 +551,9 @@ runSloMode(const ServerConfig &from_flags, const bench::ObsOptions &opt)
         t.print(std::cout);
         std::cout << "\n";
     }
-    if (opt.trace)
-        finishTrace(tracer, opt);
-    bench::writeMetricsSnapshot(opt.metricsOut);
-    return 0;
 }
 
-/** The study a run performs; the mode flags are mutually exclusive. */
+/** The study a run performs; the study flags are mutually exclusive. */
 enum class Study
 {
     Slo,
@@ -682,6 +562,32 @@ enum class Study
     PrefixSweep,
     ChunkSweep,
     SpecSweep,
+};
+
+/** The optional flag groups, as bits of a study's `reads` mask. */
+enum Group : unsigned
+{
+    kMixFlags,
+    kChunkFlags,
+    kSpecFlags,
+    kDraftFlags,
+    kGroups,
+};
+
+/** Per Study, in order: what picks it and the flag groups it reads. */
+struct StudyRow
+{
+    const char *flag;
+    unsigned reads;
+};
+constexpr StudyRow kStudies[] = {
+    {"the SLO study",
+     1u << kChunkFlags | 1u << kSpecFlags | 1u << kDraftFlags},
+    {"--faults", 0},
+    {"--kv-sweep", 0},
+    {"--prefix-sweep", 1u << kMixFlags},
+    {"--chunk-sweep", 0},
+    {"--spec-sweep", 1u << kDraftFlags},
 };
 
 } // namespace
@@ -694,11 +600,13 @@ main(int argc, char **argv)
     SharedPrefixMix mix;
     ServerConfig from_flags; // chunk and spec policies of the SLO runs
     bench::ObsOptions opt;
+    std::string used[kGroups]; // per group, a flag given from it
     const Flags flags = concatFlags({
         {
             {"--faults", "[seed]",
              "run the resilience experiment (seeded fault schedule "
-             "against a TDX deployment) instead of the SLO sweep "
+             "against a TDX deployment, with and without the "
+             "resilience policy) instead of the SLO sweep "
              "(default seed " +
                  std::to_string(fault_seed) + ")",
              [&](const char *v) {
@@ -730,32 +638,48 @@ main(int argc, char **argv)
                      "$/1k-token deltas); honours --spec-ratio / "
                      "--spec-accept"),
         },
-        bench::prefixMixFlags(mix),
-        bench::chunkFlags(from_flags.chunkedPrefill),
-        bench::specFlags(from_flags.specDecode),
+        noteUse(bench::prefixMixFlags(mix), used[kMixFlags]),
+        noteUse(bench::chunkFlags(from_flags.chunkedPrefill),
+                used[kChunkFlags]),
+        noteUse(bench::specFlags(from_flags.specDecode),
+                used[kSpecFlags]),
+        noteUse(bench::draftFlags(from_flags.specDecode),
+                used[kDraftFlags]),
         bench::obsFlags(opt),
     });
     parseFlags(
         "serve_slo",
         "Replays a seeded Poisson trace against CPU (bare, TDX) and GPU\n"
         "(raw, cGPU) deployments under continuous and static batching and\n"
-        "reports TTFT/TPOT percentiles and SLO attainment. A mode flag\n"
-        "(--faults or a --*-sweep) runs that study instead; at most one.",
+        "reports TTFT/TPOT percentiles and SLO attainment. A study flag\n"
+        "(--faults or a --*-sweep) runs that study instead; at most one.\n"
+        "A flag the chosen study does not read is an error.",
         flags, argc, argv);
+    const StudyRow &row = kStudies[static_cast<unsigned>(study)];
+    for (unsigned g = 0; g < kGroups; ++g)
+        if (!used[g].empty() && !(row.reads & 1u << g))
+            cllm_fatal(row.flag, " does not read ", used[g]);
 
+    Runs runs(opt);
     switch (study) {
       case Study::Slo:
-        return runSloMode(from_flags, opt);
+        runSloStudy(runs, from_flags);
+        break;
       case Study::Faults:
-        return runFaultMode(fault_seed, opt);
+        runFaultStudy(runs, fault_seed);
+        break;
       case Study::KvSweep:
-        return runKvSweepMode(opt);
+        runKvSweep(runs);
+        break;
       case Study::PrefixSweep:
-        return runPrefixSweepMode(mix, opt);
+        runPrefixSweep(runs, mix);
+        break;
       case Study::ChunkSweep:
-        return runChunkSweepMode(opt);
+        runChunkSweep(runs);
+        break;
       case Study::SpecSweep:
-        return runSpecSweepMode(from_flags.specDecode, opt);
+        runSpecSweep(runs, from_flags.specDecode);
+        break;
     }
-    return 1;
+    return runs.finish();
 }

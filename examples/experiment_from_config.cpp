@@ -3,7 +3,9 @@
  * Config-driven experiment runner: describe a reproduction as an INI
  * file (see the configs directory) instead of C++. Each `[experiment:...]`
  * section is one run; results print as a table or, with --json, as a
- * machine-readable document for plotting.
+ * machine-readable document for plotting. Keys are strict: each
+ * parses with the range and spelling of the matching sweep_tool flag,
+ * and an unknown section, key or value is fatal.
  *
  * Usage: experiment_from_config <config.ini> [--json]
  */
@@ -11,8 +13,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/experiment.hh"
-#include "util/config.hh"
+#include "run_flags.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -35,10 +36,17 @@ main(int argc, char **argv)
     }
     const Config &cfg = parsed.config;
 
-    core::Experiment exp;
-    const hw::CpuSpec cpu =
-        hw::kCpuPresets.parse(cfg.getString("machine", "name", "emr1"))();
+    // Every key goes through a flag row: the run rows sweep_tool
+    // declares, plus batch and amx. Unknown sections and keys are
+    // fatal rather than silently ignored.
+    hw::CpuPreset machine = hw::emr1;
+    applyConfigSection(cfg, "machine",
+                       {choiceFlag(configPrefix("machine") + "name",
+                                   machine, hw::kCpuPresets,
+                                   "machine preset")});
+    const hw::CpuSpec cpu = machine();
 
+    core::Experiment exp;
     struct Row
     {
         std::string name, backend;
@@ -46,35 +54,30 @@ main(int argc, char **argv)
         double overhead_pct;
     };
     std::vector<Row> rows;
-
     for (const std::string &section : cfg.sections()) {
-        if (section.rfind("experiment", 0) != 0)
+        const std::string prefix = configPrefix(section);
+        if (section == "machine")
             continue;
+        if (!section.starts_with("experiment"))
+            cllm_fatal(prefix, "unknown section");
         llm::RunParams p;
-        p.batch = static_cast<unsigned>(
-            cfg.getInt(section, "batch", 1));
-        p.beam =
-            static_cast<unsigned>(cfg.getInt(section, "beam", 1));
-        p.inLen = static_cast<unsigned>(
-            cfg.getInt(section, "input", 1024));
-        p.outLen = static_cast<unsigned>(
-            cfg.getInt(section, "output", 128));
-        p.sockets = static_cast<unsigned>(
-            cfg.getInt(section, "sockets", 1));
-        p.cores =
-            static_cast<unsigned>(cfg.getInt(section, "cores", 0));
-        p.dtype =
-            hw::kDtypeNames.parse(cfg.getString(section, "dtype", "bf16"));
-        p.amx = cfg.getBool(section, "amx", true);
+        llm::ModelPreset preset = llm::llama2_7b;
+        std::vector<core::Backend> backends = {core::Backend::Tdx};
+        Flags keys = runFlags(prefix, p, preset, backends);
+        keys.push_back(numberFlag(prefix + "batch", p.batch,
+                                  "batch size", 1));
+        keys.push_back({prefix + "amx", "<bool>", "AMX tiles",
+                        [&](const char *) {
+                            p.amx = cfg.getBool(section, "amx");
+                        }});
+        applyConfigSection(cfg, section, keys);
+        if (backends.size() != 1)
+            cllm_fatal(prefix, "backend = all: an experiment runs one "
+                               "backend");
 
-        const auto model = llm::kModelPresets.parse(
-            cfg.getString(section, "model", "7b"))();
-        const auto backend = core::kBackendNames.parse(
-            cfg.getString(section, "backend", "tdx"));
-
-        const auto r = exp.runCpu(cpu, backend, model, p);
-        const auto base =
-            exp.runCpu(cpu, core::Backend::Bare, model, p);
+        const auto model = preset();
+        const auto r = exp.runCpu(cpu, backends[0], model, p);
+        const auto base = exp.runCpu(cpu, core::Backend::Bare, model, p);
         rows.push_back(
             {section, r.backend, r.timing,
              core::Experiment::compare(r, base).tputOverheadPct});

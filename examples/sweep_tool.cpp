@@ -8,12 +8,9 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "util/flags.hh"
-#include "core/experiment.hh"
-#include "util/config.hh"
+#include "run_flags.hh"
 #include "util/table.hh"
 
 using namespace cllm;
@@ -36,42 +33,24 @@ parseList(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    const std::vector<core::Backend> all = {
-        core::Backend::Bare, core::Backend::Vm, core::Backend::Sgx,
-        core::Backend::Tdx};
     llm::ModelPreset model_preset = llm::llama2_7b;
     hw::CpuPreset machine = hw::emr1;
-    std::vector<core::Backend> backends = all;
+    std::vector<core::Backend> backends = kAllBackends;
     std::vector<unsigned> batches = {1};
     llm::RunParams p;
     bool csv = false;
-    const Flags flags = {
-        choiceFlag("--model", model_preset, llm::kModelPresets,
-                   "model preset"),
-        choiceFlag("--machine", machine, hw::kCpuPresets,
-                   "machine preset"),
-        {"--backend",
-         std::string("<") + core::kBackendNames.choices() + "|all>",
-         "backend to run against bare metal; all = bare, vm, sgx and "
-         "tdx (default all)",
-         [&](const char *v) {
-             backends = std::string_view(v) == "all"
-                            ? all
-                            : std::vector{core::kBackendNames.parse(v)};
-         }},
-        choiceFlag("--dtype", p.dtype, hw::kDtypeNames,
-                   "weight and activation dtype"),
-        {"--batch", "N[,N...]", "batch sizes, one row each (default 1)",
-         [&](const char *v) { batches = parseList(v); }},
-        numberFlag("--input", p.inLen, "prompt tokens", 1),
-        numberFlag("--output", p.outLen, "generated tokens", 1),
-        numberFlag("--beam", p.beam, "beam width", 1),
-        numberFlag("--sockets", p.sockets, "sockets used", 1),
-        numberFlag("--cores", p.cores,
-                   "total cores; 0 = all cores of the sockets", 0),
-        switchFlag("--no-amx", p.amx, "disable AMX tiles", false),
-        switchFlag("--csv", csv, "print CSV instead of a table"),
-    };
+    const Flags flags = concatFlags({
+        {choiceFlag("--machine", machine, hw::kCpuPresets,
+                    "machine preset")},
+        runFlags("--", p, model_preset, backends),
+        {
+            {"--batch", "N[,N...]",
+             "batch sizes, one row each (default 1)",
+             [&](const char *v) { batches = parseList(v); }},
+            switchFlag("--no-amx", p.amx, "disable AMX tiles", false),
+            switchFlag("--csv", csv, "print CSV instead of a table"),
+        },
+    });
     parseFlags("sweep_tool",
                "Runs every (backend, batch) pair through the CPU timing "
                "model and prints\nthroughput, latency and the overhead "

@@ -1072,4 +1072,17 @@ finalizeRequests(const std::vector<const Request *> &reqs,
     return m;
 }
 
+ServeMetrics
+ContinuousEngine::metrics() const
+{
+    ServeMetrics m =
+        finalizeRequests(submitted_, clock_, occupancySum_, steps_,
+                         tally_, cfg_.ttftSlo, cfg_.tpotSlo);
+    m.kvUtilizationPeak = kvPeak_;
+    m.kvUtilizationMean = kvUtilizationMean();
+    m.peakBatchOccupancy = static_cast<double>(maxActive_);
+    m.faultTimeline = timeline();
+    return m;
+}
+
 } // namespace cllm::serve

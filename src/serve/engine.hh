@@ -123,6 +123,13 @@ class ContinuousEngine
     std::size_t peakBatch() const { return maxActive_; }
     const std::vector<fault::FaultRecord> &timeline() const;
 
+    /**
+     * The run's metrics so far: finalizeRequests over every submitted
+     * request, plus the KV, batch and fault-timeline readings only the
+     * engine holds. The shared tail of a Server run and a fleet node.
+     */
+    ServeMetrics metrics() const;
+
     /** Every request ever submitted, in submission order. */
     const std::vector<const Request *> &submitted() const
     {
@@ -301,9 +308,10 @@ class ContinuousEngine
 };
 
 /**
- * Build a ServeMetrics from annotated requests — the shared tail of a
- * Server run and a fleet node. Panics only when a non-empty request
- * set completed nothing without any being dropped (a simulation bug).
+ * Build a ServeMetrics from annotated requests: the request-level part
+ * of ContinuousEngine::metrics, also used by the fleet rollup. Panics
+ * only when a non-empty request set completed nothing without any
+ * being dropped (a simulation bug).
  */
 ServeMetrics finalizeRequests(const std::vector<const Request *> &reqs,
                               double makespan, double occupancy_sum,

@@ -298,13 +298,7 @@ Server::run(std::vector<Request> trace,
         eng.submit(&r, r.arrival, 0);
     while (!eng.idle())
         eng.iterate();
-    ServeMetrics m = finalizeRequests(
-        eng.submitted(), eng.clock(), eng.occupancySum(), eng.steps(),
-        eng.tally(), cfg_.ttftSlo, cfg_.tpotSlo);
-    m.kvUtilizationPeak = eng.kvPeak();
-    m.kvUtilizationMean = eng.kvUtilizationMean();
-    m.peakBatchOccupancy = static_cast<double>(eng.peakBatch());
-    m.faultTimeline = eng.timeline();
+    ServeMetrics m = eng.metrics();
     annotated = std::move(trace);
     return m;
 }

@@ -118,9 +118,26 @@ choiceFlag(std::string name, T &target, const NameTable<T, N> &names,
            std::string help)
 {
     help += " (default " + std::string(names.name(target)) + ")";
-    return {std::move(name), std::string("<") + names.choices() + ">",
-            std::move(help),
-            [&target, &names](const char *v) { target = names.parse(v); }};
+    return {name, std::string("<") + names.choices() + ">",
+            std::move(help), [&target, &names, name](const char *v) {
+                target = names.parse(v, name);
+            }};
+}
+
+/**
+ * `flags` with each row also writing its name to `used` when given, so
+ * a tool can reject a group of flags its chosen mode does not read.
+ */
+inline Flags
+noteUse(Flags flags, std::string &used)
+{
+    for (Flag &f : flags)
+        f.set = [set = std::move(f.set), name = f.name,
+                 &used](const char *v) {
+            used = name;
+            set(v);
+        };
+    return flags;
 }
 
 /** Concatenate flag tables, keeping their order. */
@@ -131,6 +148,34 @@ concatFlags(std::initializer_list<Flags> parts)
     for (const Flags &p : parts)
         out.insert(out.end(), p.begin(), p.end());
     return out;
+}
+
+/** The row-name prefix of a config section's keys: "config [name] ". */
+inline std::string
+configPrefix(const std::string &section)
+{
+    return "config [" + section + "] ";
+}
+
+/**
+ * Apply every key of `section` through the row named
+ * `configPrefix(section) + key`, so a config key parses with the same
+ * range and spelling as the flag built from that row. A key with no
+ * row is fatal, naming the section and the key.
+ */
+inline void
+applyConfigSection(const Config &cfg, const std::string &section,
+                   const Flags &flags)
+{
+    const std::string prefix = configPrefix(section);
+    for (const std::string &key : cfg.keys(section)) {
+        const auto f = std::find_if(
+            flags.begin(), flags.end(),
+            [&](const Flag &row) { return row.name == prefix + key; });
+        if (f == flags.end())
+            cllm_fatal(prefix, "unknown key '", key, "'");
+        f->set(cfg.getString(section, key).c_str());
+    }
 }
 
 /** Usage text generated from a flag table. */

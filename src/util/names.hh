@@ -53,13 +53,17 @@ struct NameTable
         return nullptr;
     }
 
-    /** The value spelled `text`; fatal, listing the choices, if none. */
+    /**
+     * The value spelled `text`; fatal, listing the choices and naming
+     * the flag or config key `flag` when given, if none.
+     */
     T
-    parse(const std::string &text) const
+    parse(const std::string &text, const std::string &flag = "") const
     {
         if (const Named<T> *e = find(text))
             return e->value;
-        cllm_fatal("unknown ", what, " '", text, "' (", choices(), ")");
+        cllm_fatal(flag, flag.empty() ? "" : ": ", "unknown ", what, " '",
+                   text, "' (", choices(), ")");
     }
 
     /** "a|b|c", in table order. */

@@ -386,6 +386,17 @@ struct NameTableCase
     std::function<void(const std::string &)> parse;
 };
 
+/**
+ * Print a case as its label. gtest's default byte dump includes the
+ * label's heap pointer, so the listed test names (and the ctest names
+ * built from them) would differ from run to run.
+ */
+void
+PrintTo(const NameTableCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 template <typename T, std::size_t N>
 NameTableCase
 nameCase(std::string label, std::string unknown,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "examples/run_flags.hh"
 #include "util/config.hh"
 #include "util/json.hh"
 
@@ -168,7 +169,8 @@ parseBenchFlag(std::vector<std::string> args)
     BenchFlagTargets t;
     runFlags(concatFlags({bench::prefixMixFlags(t.mix),
                           bench::chunkFlags(t.chunk),
-                          bench::specFlags(t.spec)}),
+                          bench::specFlags(t.spec),
+                          bench::draftFlags(t.spec)}),
              std::move(args));
     return t;
 }
@@ -279,6 +281,19 @@ TEST(BenchFlags, OptionalOperandStopsAtTheNextFlag)
     EXPECT_EQ(t.path, "out.json");
 }
 
+TEST(BenchFlags, NoteUseRecordsTheFlagGiven)
+{
+    serve::SharedPrefixMix mix;
+    serve::ChunkedPrefillPolicy chunk;
+    std::string mix_used, chunk_used;
+    runFlags(concatFlags({noteUse(bench::prefixMixFlags(mix), mix_used),
+                          noteUse(bench::chunkFlags(chunk), chunk_used)}),
+             {"--prefix-len", "64"});
+    EXPECT_EQ(mix_used, "--prefix-len");
+    EXPECT_EQ(mix.prefixLen, 64u); // the row still applies its operand
+    EXPECT_EQ(chunk_used, "");
+}
+
 TEST(BenchFlagsDeath, PickFlagsAreMutuallyExclusive)
 {
     EXPECT_DEATH(parsePick({"--a", "--b"}),
@@ -297,6 +312,63 @@ TEST(BenchFlags, UsageIsGeneratedFromTheTable)
               std::string::npos);
     EXPECT_NE(usage.find("(>= 1, default 256)"), std::string::npos);
     EXPECT_NE(usage.find("--help"), std::string::npos);
+}
+
+namespace {
+
+/** What one [experiment:*] section's keys write into. */
+struct RunTargets
+{
+    llm::RunParams p;
+    llm::ModelPreset model = llm::llama2_7b;
+    std::vector<core::Backend> backends = {core::Backend::Tdx};
+};
+
+/** Apply section "e" of `ini` through sweep_tool's run rows. */
+RunTargets
+applyRunSection(const std::string &ini)
+{
+    const auto r = Config::parse(ini);
+    if (!r.ok)
+        cllm_fatal(r.error);
+    RunTargets t;
+    applyConfigSection(r.config, "e",
+                       cllm::runFlags(configPrefix("e"), t.p, t.model,
+                                t.backends));
+    return t;
+}
+
+} // namespace
+
+TEST(ConfigFlags, SectionKeysParseThroughTheFlagRows)
+{
+    const RunTargets t = applyRunSection(
+        "[e]\nmodel = 13b\nbackend = sgx\ndtype = int8\ninput = 512\n"
+        "output = 64\nbeam = 4\nsockets = 2\ncores = 0\n");
+    EXPECT_EQ(t.model, llm::kModelPresets.parse("13b"));
+    EXPECT_EQ(t.backends, std::vector{core::Backend::Sgx});
+    EXPECT_EQ(t.p.dtype, hw::Dtype::Int8);
+    EXPECT_EQ(t.p.inLen, 512u);
+    EXPECT_EQ(t.p.outLen, 64u);
+    EXPECT_EQ(t.p.beam, 4u);
+    EXPECT_EQ(t.p.sockets, 2u);
+    EXPECT_EQ(t.p.cores, 0u);
+    // Keys the section leaves out keep their defaults.
+    EXPECT_EQ(t.p.batch, llm::RunParams{}.batch);
+}
+
+TEST(ConfigFlagsDeath, UnknownKeysAndBadValuesNameSectionAndKey)
+{
+    EXPECT_DEATH(applyRunSection("[e]\ndtyp = int8\n"),
+                 "config \\[e\\] unknown key 'dtyp'");
+    EXPECT_DEATH(applyRunSection("[e]\ninput = -1\n"),
+                 "config \\[e\\] input = '-1' is not a non-negative");
+    EXPECT_DEATH(applyRunSection("[e]\nbeam = 0\n"),
+                 "config \\[e\\] beam = '0' outside");
+    EXPECT_DEATH(applyRunSection("[e]\ndtype = int7\n"),
+                 "config \\[e\\] dtype: unknown dtype 'int7'");
+    EXPECT_DEATH(applyRunSection("[e]\nbackend = gpu\n"),
+                 "config \\[e\\] backend: unknown backend 'gpu'");
 }
 
 TEST(Json, FlatObject)
