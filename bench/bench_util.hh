@@ -168,30 +168,6 @@ banner(const std::string &artefact, const std::string &what,
     std::cout << "\n";
 }
 
-/** Throughput run parameters used across the CPU figures. */
-inline llm::RunParams
-throughputParams(const hw::CpuSpec &cpu, unsigned sockets = 1)
-{
-    llm::RunParams p;
-    p.batch = 6;
-    p.beam = 4;
-    p.inLen = 1024;
-    p.outLen = 128;
-    p.sockets = sockets;
-    p.cores = sockets * cpu.coresPerSocket;
-    return p;
-}
-
-/** Latency run parameters (batch 1, beam 1). */
-inline llm::RunParams
-latencyParams(const hw::CpuSpec &cpu, unsigned sockets = 1)
-{
-    llm::RunParams p = throughputParams(cpu, sockets);
-    p.batch = 1;
-    p.beam = 1;
-    return p;
-}
-
 /**
  * Switch a server config to the paged-KV discipline, pricing swap
  * traffic with the model's real per-token KV footprint. The preempt

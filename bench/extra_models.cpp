@@ -26,7 +26,7 @@ main()
     for (const auto &model :
          {llm::llama2_7b(), llm::llama3_8b(), llm::gptj_6b(),
           llm::falcon_7b(), llm::baichuan2_7b(), llm::qwen_7b()}) {
-        const auto p = throughputParams(cpu);
+        const auto p = core::throughputParams(cpu);
         const auto bare =
             exp.runCpu(cpu, core::Backend::Bare, model, p);
         const auto tdx = exp.runCpu(cpu, core::Backend::Tdx, model, p);

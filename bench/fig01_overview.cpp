@@ -21,8 +21,8 @@ main()
     const hw::CpuSpec cpu = hw::emr1();
     const llm::ModelConfig model = llm::llama2_7b();
 
-    const auto tput = throughputParams(cpu);
-    const auto lat = latencyParams(cpu);
+    const auto tput = core::throughputParams(cpu);
+    const auto lat = core::latencyParams(cpu);
 
     Table t({"system", "tput [tok/s]", "tput overhead",
              "latency [ms/tok]", "latency overhead"});

@@ -40,7 +40,7 @@ main()
     std::vector<double> runtimes;
     double ipex_runtime = 0.0;
     for (const auto &cfg : configs) {
-        llm::RunParams p = latencyParams(cpu);
+        llm::RunParams p = core::latencyParams(cpu);
         p.framework = cfg.fw;
         p.dtype = cfg.dtype;
         const auto r = exp.runCpu(cpu, core::Backend::Bare, model, p);

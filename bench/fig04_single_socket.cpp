@@ -27,8 +27,8 @@ main()
 
     for (hw::Dtype dtype : {hw::Dtype::Bf16, hw::Dtype::Int8}) {
         std::cout << "--- dtype " << hw::kDtypeNames.name(dtype) << " ---\n";
-        llm::RunParams tput = throughputParams(cpu);
-        llm::RunParams lat = latencyParams(cpu);
+        llm::RunParams tput = core::throughputParams(cpu);
+        llm::RunParams lat = core::latencyParams(cpu);
         lat.outLen = 1024; // >= 1000 output tokens, as measured
         tput.dtype = lat.dtype = dtype;
 

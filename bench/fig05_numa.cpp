@@ -23,8 +23,8 @@ main()
     const hw::CpuSpec cpu = hw::emr1();
     const llm::ModelConfig model = llm::llama2_70b();
 
-    auto tput = throughputParams(cpu, 2);
-    auto lat = latencyParams(cpu, 2);
+    auto tput = core::throughputParams(cpu, 2);
+    auto lat = core::latencyParams(cpu, 2);
 
     const auto base_t = exp.runCpu(cpu, core::Backend::Vm, model, tput);
     const auto base_l = exp.runCpu(cpu, core::Backend::Vm, model, lat);
@@ -49,7 +49,7 @@ main()
     std::cout << "\nSub-NUMA clustering (Section IV-A, Llama2-7B, one "
                  "socket):\n";
     const llm::ModelConfig small = llm::llama2_7b();
-    auto p7 = throughputParams(cpu);
+    auto p7 = core::throughputParams(cpu);
     const auto bare7 = exp.runCpu(cpu, core::Backend::Bare, small, p7);
     const auto tdx7 = exp.runCpu(cpu, core::Backend::Tdx, small, p7);
     p7.sncEnabled = true;

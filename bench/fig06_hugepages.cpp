@@ -22,8 +22,8 @@ main()
     const hw::CpuSpec cpu = hw::emr1();
     const llm::ModelConfig model = llm::llama2_13b();
 
-    const auto tput = throughputParams(cpu, 2);
-    const auto lat = latencyParams(cpu, 2);
+    const auto tput = core::throughputParams(cpu, 2);
+    const auto lat = core::latencyParams(cpu, 2);
 
     const auto fh_t = exp.runCpu(cpu, core::Backend::Vm, model, tput);
     const auto fh_l = exp.runCpu(cpu, core::Backend::Vm, model, lat);

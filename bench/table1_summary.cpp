@@ -14,6 +14,6 @@ main()
 {
     std::cout << "=== Table I: system summary (measured) ===\n\n";
     cllm::core::printSummaryMatrix(
-        std::cout, cllm::core::buildSummaryMatrix(/*measured=*/true));
+        std::cout, cllm::core::buildSummaryMatrix());
     return 0;
 }

@@ -48,6 +48,34 @@ inline constexpr auto kBackendNames = nameTable<Backend>(
                 {Backend::Sgx, "sgx"},
                 {Backend::Tdx, "tdx"}});
 
+/**
+ * The paper's canonical CPU throughput run: batch 6, beam 4, 1024 in /
+ * 128 out, on all cores of `sockets` sockets.
+ */
+inline llm::RunParams
+throughputParams(const hw::CpuSpec &cpu, unsigned sockets = 1)
+{
+    llm::RunParams p;
+    p.batch = 6;
+    p.beam = 4;
+    p.inLen = 1024;
+    p.outLen = 128;
+    p.sockets = sockets;
+    p.cores = sockets * cpu.coresPerSocket;
+    return p;
+}
+
+/** The paper's canonical CPU latency run: the throughput shape at
+ *  batch 1, beam 1. */
+inline llm::RunParams
+latencyParams(const hw::CpuSpec &cpu, unsigned sockets = 1)
+{
+    llm::RunParams p = throughputParams(cpu, sockets);
+    p.batch = 1;
+    p.beam = 1;
+    return p;
+}
+
 /** Construct the TeeBackend model for an enum value. */
 std::unique_ptr<tee::TeeBackend> makeBackend(Backend b);
 

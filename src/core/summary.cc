@@ -18,7 +18,7 @@ mark(bool full)
 } // namespace
 
 std::vector<SummaryRow>
-buildSummaryMatrix(bool measured)
+buildSummaryMatrix()
 {
     std::vector<SummaryRow> rows;
 
@@ -38,47 +38,35 @@ buildSummaryMatrix(bool measured)
     rows.push_back({"trust boundary", ps.trustBoundary, pt.trustBoundary,
                     pg.trustBoundary});
 
-    if (measured) {
-        // Single-resource overhead: Llama2-7B throughput run.
-        Experiment exp;
-        const auto cpu = hw::emr1();
-        const auto model = llm::llama2_7b();
-        llm::RunParams p;
-        p.batch = 6;
-        p.beam = 4;
-        p.inLen = 1024;
-        p.outLen = 128;
-        p.sockets = 1;
-        p.cores = cpu.coresPerSocket;
+    // Single-resource overhead: Llama2-7B throughput run.
+    Experiment exp;
+    const auto cpu = hw::emr1();
+    const auto model = llm::llama2_7b();
+    const auto p = throughputParams(cpu);
 
-        const auto bare = exp.runCpu(cpu, Backend::Bare, model, p);
-        const auto sgx_r = exp.runCpu(cpu, Backend::Sgx, model, p);
-        const auto tdx_r = exp.runCpu(cpu, Backend::Tdx, model, p);
+    const auto bare = exp.runCpu(cpu, Backend::Bare, model, p);
+    const auto sgx_r = exp.runCpu(cpu, Backend::Sgx, model, p);
+    const auto tdx_r = exp.runCpu(cpu, Backend::Tdx, model, p);
 
-        const auto gpu = hw::h100Nvl();
-        llm::GpuRunParams g;
-        g.batch = 16;
-        g.inLen = 512;
-        g.outLen = 128;
-        const auto gpu_raw = exp.runGpu(gpu, model, g);
-        g.confidential = true;
-        const auto gpu_cc = exp.runGpu(gpu, model, g);
+    const auto gpu = hw::h100Nvl();
+    llm::GpuRunParams g;
+    g.batch = 16;
+    g.inLen = 512;
+    g.outLen = 128;
+    const auto gpu_raw = exp.runGpu(gpu, model, g);
+    g.confidential = true;
+    const auto gpu_cc = exp.runGpu(gpu, model, g);
 
-        auto pct = [](const ExperimentResult &r,
-                      const ExperimentResult &b) {
-            std::ostringstream os;
-            os.precision(1);
-            os << std::fixed
-               << Experiment::compare(r, b).tputOverheadPct << "%";
-            return os.str();
-        };
-        rows.push_back({"single-resource overhead (measured)",
-                        pct(sgx_r, bare), pct(tdx_r, bare),
-                        pct(gpu_cc, gpu_raw)});
-    } else {
-        rows.push_back({"single-resource overhead (paper)", "~4-5%",
-                        "~5-10%", "~4-8%"});
-    }
+    auto pct = [](const ExperimentResult &r, const ExperimentResult &b) {
+        std::ostringstream os;
+        os.precision(1);
+        os << std::fixed << Experiment::compare(r, b).tputOverheadPct
+           << "%";
+        return os.str();
+    };
+    rows.push_back({"single-resource overhead (measured)",
+                    pct(sgx_r, bare), pct(tdx_r, bare),
+                    pct(gpu_cc, gpu_raw)});
 
     rows.push_back({"batch size up -> overhead", "down", "down", "down"});
     rows.push_back({"input size up -> overhead", "down, then up",

@@ -2,7 +2,7 @@
  * @file
  * Table I generator: the paper's summary matrix comparing SGX, TDX,
  * and cGPU across security, performance, and cost dimensions, built
- * from the backends' SecurityProfile and canned overhead runs.
+ * from the backends' SecurityProfile and measured overhead runs.
  */
 
 #ifndef CLLM_CORE_SUMMARY_HH
@@ -26,10 +26,10 @@ struct SummaryRow
 };
 
 /**
- * Build the Table I rows; `measured` controls whether to run the
- * timing model for the overhead row (slower) or to cite the ranges.
+ * Build the Table I rows; the single-resource overhead row runs the
+ * timing model.
  */
-std::vector<SummaryRow> buildSummaryMatrix(bool measured = true);
+std::vector<SummaryRow> buildSummaryMatrix();
 
 /** Render the matrix to a stream as an aligned table. */
 void printSummaryMatrix(std::ostream &os,

@@ -100,28 +100,6 @@ TEST(RagPipeline, MethodNames)
     EXPECT_STREQ(ragMethodName(RagMethod::Sbert), "SBERT");
 }
 
-TEST(RagTiming, TdxOverheadInPaperBand)
-{
-    // Figure 14: ~6-7% degradation for TDX on a production-scale
-    // Elasticsearch index (we price the counted work against a
-    // multi-GB index working set, as deployed).
-    const auto cpu = hw::emr2();
-    const auto bare = tee::makeBareMetal();
-    const auto tdx = tee::makeTdx();
-    const std::uint64_t prod_index = 20ULL * GiB;
-
-    for (auto m : {RagMethod::Bm25, RagMethod::RerankedBm25,
-                   RagMethod::Sbert}) {
-        const auto eval = pipeline().evaluate(m);
-        const auto tb = priceRagRun(cpu, *bare, eval, prod_index, 16);
-        const auto tt = priceRagRun(cpu, *tdx, eval, prod_index, 16);
-        const double ov =
-            100.0 * (tt.meanQuerySeconds / tb.meanQuerySeconds - 1.0);
-        EXPECT_GT(ov, 2.0) << ragMethodName(m);
-        EXPECT_LT(ov, 9.5) << ragMethodName(m);
-    }
-}
-
 TEST(RagTiming, VmCheaperThanTdx)
 {
     const auto cpu = hw::emr2();
