@@ -5,12 +5,14 @@
  * node changes no other node's fault or workload draws), exact
  * equivalence of a 1-node Null-router fleet with a bare
  * `serve::Server` run, router policy behaviour, autoscaler dynamics,
- * and a golden regression over a mixed fleet under faults
- * (`CLLM_REGEN_GOLDEN=1` regenerates).
+ * node lifecycle under churn, and golden regressions over a mixed
+ * fleet under faults and a churning fleet (`CLLM_REGEN_GOLDEN=1`
+ * regenerates).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <variant>
 #include <sstream>
@@ -88,6 +90,77 @@ burstyTrace(double rate = 2.0, std::size_t n = 300)
     load.arrivalRate = rate;
     load.numRequests = n;
     return serve::generateWorkload(load);
+}
+
+/** TDX + cGPU templates with every serving feature on: paged KV
+ *  with per-tenant prefix caching, chunked prefill and speculative
+ *  decoding, on pools small enough that the cache evicts. */
+std::vector<NodeTemplate>
+churnTemplates()
+{
+    NodeTemplate cpu = cpuTdxNode();
+    NodeTemplate gpu = cgpuH100Node();
+    cpu.server.kvBlocks = 768;
+    gpu.server.kvBlocks = 2048;
+    for (NodeTemplate *t : {&cpu, &gpu}) {
+        serve::ServerConfig &s = t->server;
+        bench::applyPagedKv(s, llm::llama2_7b());
+        s.prefixMode = serve::PrefixMode::PerTenant;
+        s.prefix.maxBlocks = s.kvBlocks / 2;
+        s.chunkedPrefill.mode = serve::ChunkMode::DecodePriority;
+        s.chunkedPrefill.chunkTokens = 256;
+        s.specDecode.enabled = true;
+        t->meanInLenHint = 600;
+    }
+    gpu.provisionDelaySec = 2.0;
+    return {cpu, gpu};
+}
+
+/** A churning fleet: prefix-affinity routing over two TDX nodes and
+ *  one cGPU, with an autoscaler whose short interval and cooldown add
+ *  and drain cGPU nodes on most bursts, so a few hundred requests
+ *  provision and retire dozens of nodes. Its drain watermark of one
+ *  outstanding request per node drains nodes with work in flight. */
+FleetConfig
+churnFleetConfig()
+{
+    FleetConfig cfg;
+    cfg.seed = 11;
+    cfg.policy = RouterPolicy::PrefixAffinity;
+    cfg.ttftSlo = 2.0;
+    cfg.initialNodes = {0, 0, 1};
+    cfg.autoscaler.enabled = true;
+    cfg.autoscaler.intervalSec = 1.0;
+    cfg.autoscaler.queueHighPerNode = 1.5;
+    cfg.autoscaler.queueLowPerNode = 1.0;
+    cfg.autoscaler.drainAfterTicks = 1;
+    cfg.autoscaler.minNodes = 3;
+    cfg.autoscaler.maxNodes = 8;
+    cfg.autoscaler.addTemplate = 1;
+    cfg.autoscaler.cooldownSec = 2.0;
+    return cfg;
+}
+
+std::vector<serve::Request>
+churnTrace()
+{
+    serve::WorkloadConfig load;
+    load.process = serve::ArrivalProcess::BurstyOnOff;
+    load.arrivalRate = 2.0;
+    load.numRequests = 600;
+    load.meanInLen = 600;
+    load.meanOutLen = 48;
+    load.lengthSigma = 0.1;
+    load.meanOnSec = 2.0;
+    load.meanOffSec = 4.0;
+    load.seed = 5;
+    auto trace = serve::generateWorkload(load);
+    serve::SharedPrefixMix mix;
+    mix.tenants = 8;
+    mix.prefixLen = 512;
+    mix.sharedFraction = 0.9;
+    serve::applySharedPrefixMix(trace, mix);
+    return trace;
 }
 
 std::string
@@ -173,6 +246,48 @@ TEST(FleetDeterminism, DifferentSeedDifferentFaultDraws)
     cfg.seed = 43;
     FleetSimulator b(cfg, templates);
     EXPECT_NE(fleetJson(a.run(trace)), fleetJson(b.run(trace)));
+}
+
+// The simulator resets its node state at the top of every run, so
+// reusing one simulator is indistinguishable from building a new one.
+TEST(FleetDeterminism, SecondRunOnSameSimulatorMatchesFresh)
+{
+    const auto trace = churnTrace();
+    FleetSimulator fresh(churnFleetConfig(), churnTemplates());
+    const std::string want = fleetJson(fresh.run(trace));
+    FleetSimulator reused(churnFleetConfig(), churnTemplates());
+    EXPECT_EQ(fleetJson(reused.run(trace)), want);
+    EXPECT_EQ(fleetJson(reused.run(trace)), want);
+}
+
+// A drained node leaves the event loop for good: once decommissioned,
+// its engine never runs again, so nothing on its lane is later than
+// the moment its meter stopped.
+TEST(FleetLifecycle, RetiredNodesEmitNoEngineEvents)
+{
+    obs::Tracer tracer(obs::TraceMode::Sim);
+    FleetConfig cfg = churnFleetConfig();
+    cfg.tracer = &tracer;
+    FleetSimulator sim(cfg, churnTemplates());
+    sim.run(churnTrace());
+
+    std::map<std::uint32_t, double> last; // lane -> latest event end
+    for (const obs::SimEvent &e : tracer.simEvents()) {
+        double &t = last[e.lane];
+        t = std::max({t, e.t0, e.t1});
+    }
+    std::size_t retired_with_events = 0;
+    for (const auto &n : sim.nodes()) {
+        if (!n->decommissioned())
+            continue;
+        const auto it = last.find(n->traceLane());
+        if (it == last.end())
+            continue;
+        ++retired_with_events;
+        EXPECT_LE(it->second, n->decommissionTime())
+            << "node " << n->id();
+    }
+    EXPECT_GE(retired_with_events, 10u);
 }
 
 TEST(FleetSplitSeed, ScheduleDependsOnlyOnSeedAndId)
@@ -535,6 +650,39 @@ TEST(FleetGolden, MixedFleetMatchesGolden)
         flattenFleet(out, "fleet.mixed", sim.run(burstyTrace()));
     }
     cllm::testing::checkAgainstGolden("fleet_mixed.json", out);
+}
+
+// The mixed fleet scales up once and never drains, so it cannot tell
+// a wrong live-node set apart. The churn fleet provisions and retires
+// dozens of nodes and pins every one of them.
+TEST(FleetGolden, ChurnFleetMatchesGolden)
+{
+    std::map<std::string, double> out;
+    {
+        FleetSimulator sim(churnFleetConfig(), churnTemplates());
+        const FleetMetrics m = sim.run(churnTrace());
+        EXPECT_GE(m.scaleUps, 20u);
+        EXPECT_GE(m.drains, 20u);
+        EXPECT_GT(m.prefixHits, 0u);
+        EXPECT_GT(m.chunkSlices, 0u);
+        EXPECT_GT(m.specVerifySteps, 0u);
+        flattenFleet(out, "fleet.churn", m);
+        out["fleet.churn.prefixHits"] =
+            static_cast<double>(m.prefixHits);
+        out["fleet.churn.prefixEvictions"] =
+            static_cast<double>(m.prefixEvictions);
+        out["fleet.churn.chunkSlices"] =
+            static_cast<double>(m.chunkSlices);
+        out["fleet.churn.specVerifySteps"] =
+            static_cast<double>(m.specVerifySteps);
+        for (const NodeSummary &n : m.nodes) {
+            const std::string np =
+                "fleet.churn.node" + std::to_string(n.id);
+            out[np + ".availableAt"] = n.availableAt;
+            out[np + ".billedUntil"] = n.billedUntil;
+        }
+    }
+    cllm::testing::checkAgainstGolden("fleet_churn.json", out);
 }
 
 // Golden proof of the equivalence property: the 1-node Null-router
