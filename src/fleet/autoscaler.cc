@@ -21,8 +21,8 @@ Autoscaler::Autoscaler(AutoscalerConfig cfg) : cfg_(cfg)
 }
 
 ScaleDecision
-Autoscaler::tick(const std::vector<std::unique_ptr<Node>> &nodes,
-                 std::size_t backlog, double now)
+Autoscaler::tick(const std::vector<Node *> &nodes, std::size_t backlog,
+                 double now)
 {
     // Live = commissioned or still provisioning, not draining. A
     // provisioning node counts toward capacity so one burst does not
@@ -30,8 +30,8 @@ Autoscaler::tick(const std::vector<std::unique_ptr<Node>> &nodes,
     std::size_t live = 0;
     std::size_t outstanding = backlog;
     double kv_util_max = 0.0;
-    for (const auto &n : nodes) {
-        if (n->decommissioned() || n->draining())
+    for (const Node *n : nodes) {
+        if (n->draining())
             continue;
         ++live;
         outstanding += n->engine().outstanding();
@@ -50,7 +50,7 @@ Autoscaler::tick(const std::vector<std::unique_ptr<Node>> &nodes,
         lowTicks_ = 0;
         if (live < cfg_.maxNodes && cooled) {
             lastActionAt_ = now;
-            return {ScaleDecision::Kind::Add, -1};
+            return {ScaleDecision::Kind::Add, nullptr};
         }
         return {};
     }
@@ -61,22 +61,21 @@ Autoscaler::tick(const std::vector<std::unique_ptr<Node>> &nodes,
             cooled) {
             // Drain the priciest of the least-loaded routable nodes:
             // frees the most spend for the least disruption.
-            int pick = -1;
-            for (std::size_t i = 0; i < nodes.size(); ++i) {
-                const auto &n = nodes[i];
+            Node *pick = nullptr;
+            for (Node *n : nodes) {
                 if (!n->routable(now))
                     continue;
-                if (pick < 0)
-                    pick = static_cast<int>(i);
-                const auto &b = nodes[pick];
+                if (!pick) {
+                    pick = n;
+                    continue;
+                }
                 const std::size_t oi = n->engine().outstanding();
-                const std::size_t ob = b->engine().outstanding();
-                if (oi < ob ||
-                    (oi == ob &&
-                     n->pricePerHour() > b->pricePerHour()))
-                    pick = static_cast<int>(i);
+                const std::size_t ob = pick->engine().outstanding();
+                if (oi < ob || (oi == ob && n->pricePerHour() >
+                                                pick->pricePerHour()))
+                    pick = n;
             }
-            if (pick >= 0) {
+            if (pick) {
                 lowTicks_ = 0;
                 lastActionAt_ = now;
                 return {ScaleDecision::Kind::Drain, pick};

@@ -13,7 +13,6 @@
 #define CLLM_FLEET_AUTOSCALER_HH
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "fleet/node.hh"
@@ -53,7 +52,7 @@ struct ScaleDecision
 {
     enum class Kind { None, Add, Drain };
     Kind kind = Kind::None;
-    int node = -1; //!< node index to drain (Kind::Drain only)
+    Node *node = nullptr; //!< node to drain (Kind::Drain only)
 };
 
 /** Deterministic scaling policy over fleet state. */
@@ -65,12 +64,13 @@ class Autoscaler
     const AutoscalerConfig &config() const { return cfg_; }
 
     /**
-     * Evaluate at fleet time `now`. `backlog` is the router's unplaced
-     * arrival count (only non-zero while nothing is routable).
+     * Evaluate at fleet time `now` over `live`, the fleet's
+     * not-yet-decommissioned nodes in ascending id order. `backlog`
+     * is the router's unplaced arrival count (only non-zero while
+     * nothing is routable).
      */
-    ScaleDecision tick(
-        const std::vector<std::unique_ptr<Node>> &nodes,
-        std::size_t backlog, double now);
+    ScaleDecision tick(const std::vector<Node *> &live,
+                       std::size_t backlog, double now);
 
   private:
     AutoscalerConfig cfg_;

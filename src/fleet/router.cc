@@ -44,17 +44,15 @@ namespace {
  */
 constexpr unsigned kAffinitySlack = 2;
 
-/** Least outstanding work among `idxs`, ties to the lowest id. */
-int
-leastOutstanding(const std::vector<std::unique_ptr<Node>> &nodes,
-                 const std::vector<int> &idxs)
+/** Least outstanding work among `nodes`, ties to the lowest id. */
+Node *
+leastOutstanding(const std::vector<Node *> &nodes)
 {
-    int best = -1;
-    for (int i : idxs) {
-        if (best < 0 || nodes[i]->engine().outstanding() <
-                            nodes[best]->engine().outstanding())
-            best = i;
-    }
+    Node *best = nullptr;
+    for (Node *n : nodes)
+        if (!best ||
+            n->engine().outstanding() < best->engine().outstanding())
+            best = n;
     return best;
 }
 
@@ -82,52 +80,51 @@ prefixKey(const serve::Request &r)
 
 } // namespace
 
-int
-Router::route(const std::vector<std::unique_ptr<Node>> &nodes,
-              const serve::Request &r, double now)
+Node *
+Router::route(const std::vector<Node *> &live, const serve::Request &r,
+              double now)
 {
-    std::vector<int> routable;
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-        if (nodes[i]->routable(now))
-            routable.push_back(static_cast<int>(i));
+    std::vector<Node *> &routable = routable_;
+    routable.clear();
+    for (Node *n : live)
+        if (n->routable(now))
+            routable.push_back(n);
     if (routable.empty())
-        return -1;
+        return nullptr;
 
     switch (policy_) {
       case RouterPolicy::Null:
         return routable.front();
 
       case RouterPolicy::RoundRobin: {
-        const int pick =
-            routable[rrCursor_ % routable.size()];
+        Node *pick = routable[rrCursor_ % routable.size()];
         ++rrCursor_;
         return pick;
       }
 
       case RouterPolicy::LeastOutstanding:
-        return leastOutstanding(nodes, routable);
+        return leastOutstanding(routable);
 
       case RouterPolicy::KvHeadroom: {
         // Most free KV fraction first; fraction ties break on
         // absolute free blocks (heterogeneous pool sizes hide behind
         // equal fractions), then load, then id.
-        int best = routable.front();
-        for (int i : routable) {
-            const double hi = nodes[i]->engine().kvHeadroom();
-            const double hb = nodes[best]->engine().kvHeadroom();
+        Node *best = routable.front();
+        for (Node *n : routable) {
+            const serve::ContinuousEngine &e = n->engine();
+            const serve::ContinuousEngine &b = best->engine();
+            const double hi = e.kvHeadroom();
+            const double hb = b.kvHeadroom();
             if (hi != hb) {
                 if (hi > hb)
-                    best = i;
+                    best = n;
                 continue;
             }
-            const std::uint64_t fi =
-                nodes[i]->engine().kvFreeBlocks();
-            const std::uint64_t fb =
-                nodes[best]->engine().kvFreeBlocks();
+            const std::uint64_t fi = e.kvFreeBlocks();
+            const std::uint64_t fb = b.kvFreeBlocks();
             if (fi > fb ||
-                (fi == fb && nodes[i]->engine().outstanding() <
-                                 nodes[best]->engine().outstanding()))
-                best = i;
+                (fi == fb && e.outstanding() < b.outstanding()))
+                best = n;
         }
         return best;
       }
@@ -140,56 +137,55 @@ Router::route(const std::vector<std::unique_ptr<Node>> &nodes,
         // overall so overload degrades gracefully instead of pinning
         // the cheapest tier.
         std::vector<double> prices;
-        for (int i : routable)
-            prices.push_back(nodes[i]->pricePerHour());
+        for (const Node *n : routable)
+            prices.push_back(n->pricePerHour());
         std::sort(prices.begin(), prices.end());
         prices.erase(std::unique(prices.begin(), prices.end()),
                      prices.end());
         for (double price : prices) {
-            std::vector<int> tier;
-            for (int i : routable)
-                if (nodes[i]->pricePerHour() == price)
-                    tier.push_back(i);
-            const int cand = leastOutstanding(nodes, tier);
-            if (nodes[cand]->projectedTtft(now, r.inLen) <= ttftSlo_)
+            std::vector<Node *> tier;
+            for (Node *n : routable)
+                if (n->pricePerHour() == price)
+                    tier.push_back(n);
+            Node *cand = leastOutstanding(tier);
+            if (cand->projectedTtft(now, r.inLen) <= ttftSlo_)
                 return cand;
         }
-        return leastOutstanding(nodes, routable);
+        return leastOutstanding(routable);
       }
 
       case RouterPolicy::PrefixAffinity: {
         // No tokens to key on: plain load balancing.
         if (r.promptTokens.empty())
-            return leastOutstanding(nodes, routable);
+            return leastOutstanding(routable);
         const std::uint64_t key = prefixKey(r);
-        const int alt = leastOutstanding(nodes, routable);
+        Node *alt = leastOutstanding(routable);
         auto it = affinity_.find(key);
         if (it != affinity_.end()) {
-            const int home = it->second;
-            const bool live =
-                std::find(routable.begin(), routable.end(), home) !=
-                routable.end();
+            const unsigned home_id = it->second;
+            const auto home_it = std::find_if(
+                routable.begin(), routable.end(),
+                [home_id](const Node *n) { return n->id() == home_id; });
             // Stay home unless home is both breaching the TTFT
             // projection and materially busier than the best
             // alternative. A hit skips the cached prefill (which the
             // projection cannot see), and when every node is equally
             // loaded moving gains nothing and forfeits the cached
             // prefix — so spill needs both signals.
-            if (live) {
+            if (home_it != routable.end()) {
+                Node *home = *home_it;
                 const bool slo_ok =
-                    nodes[home]->projectedTtft(now, r.inLen) <=
-                    ttftSlo_;
+                    home->projectedTtft(now, r.inLen) <= ttftSlo_;
                 const bool balanced =
-                    nodes[home]->engine().outstanding() <=
-                    nodes[alt]->engine().outstanding() +
-                        kAffinitySlack;
+                    home->engine().outstanding() <=
+                    alt->engine().outstanding() + kAffinitySlack;
                 if (slo_ok || balanced)
                     return home;
             }
         }
         // Miss or spill: balance by load, and move the affinity —
         // the prefix gets cached wherever this request lands.
-        affinity_[key] = alt;
+        affinity_[key] = alt->id();
         return alt;
       }
     }

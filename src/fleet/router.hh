@@ -13,7 +13,6 @@
 #define CLLM_FLEET_ROUTER_HH
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -51,24 +50,26 @@ class Router
     Router(RouterPolicy policy, double ttft_slo);
 
     /**
-     * Choose a node for `r` arriving at `now`. Returns the node index
-     * or -1 when no node is routable (the simulator backlogs).
+     * Choose a node for `r` arriving at `now` among `live` (the
+     * fleet's not-yet-decommissioned nodes, ascending id). Returns
+     * null when no node is routable (the simulator backlogs).
      */
-    int route(const std::vector<std::unique_ptr<Node>> &nodes,
-              const serve::Request &r, double now);
+    Node *route(const std::vector<Node *> &live,
+                const serve::Request &r, double now);
 
   private:
     RouterPolicy policy_;
     double ttftSlo_;
     std::size_t rrCursor_ = 0;
     /**
-     * PrefixAffinity state: (tenant, prompt-head hash) → node index.
+     * PrefixAffinity state: (tenant, prompt-head hash) → node id.
      * Cached-prefix locality is per node (each engine owns its own
      * radix tree), so repeat prefixes only hit if they keep landing
      * on the same node; a spill moves the affinity with it, since the
      * spill target is where the prefix will be cached next.
      */
-    std::unordered_map<std::uint64_t, int> affinity_;
+    std::unordered_map<std::uint64_t, unsigned> affinity_;
+    std::vector<Node *> routable_; //!< per-call scratch, ascending id
 };
 
 } // namespace cllm::fleet

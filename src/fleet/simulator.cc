@@ -52,6 +52,7 @@ FleetSimulator::addNode(std::size_t template_index,
     nodes_.push_back(std::make_unique<Node>(
         id, template_index, templates_[template_index], cfg_.seed,
         provision_start, available_at, cfg_.tracer));
+    live_.push_back(nodes_.back().get());
     if (obs::Tracer *t = simTracer(cfg_)) {
         const Node &n = *nodes_.back();
         t->laneName(n.traceLane(),
@@ -70,6 +71,7 @@ FleetSimulator::run(std::vector<serve::Request> trace)
     // The engines hold pointers into the trace: drop the previous
     // run's nodes before replacing the requests they point at.
     nodes_.clear();
+    live_.clear();
     trace_ = std::move(trace);
     std::sort(trace_.begin(), trace_.end(),
               [](const serve::Request &a, const serve::Request &b) {
@@ -97,10 +99,10 @@ FleetSimulator::run(std::vector<serve::Request> trace)
     // Route a request at `now`; readyAt can never precede the node's
     // own provisioning.
     auto route_one = [&](serve::Request *r, double now) {
-        const int pick = router.route(nodes_, *r, now);
-        if (pick < 0)
+        Node *pick = router.route(live_, *r, now);
+        if (!pick)
             return false;
-        Node &n = *nodes_[pick];
+        Node &n = *pick;
         n.engine().submit(r, std::max(r->arrival, n.availableAt()));
         if (tr)
             tr->instant(kFleetLane, "route", now,
@@ -120,27 +122,28 @@ FleetSimulator::run(std::vector<serve::Request> trace)
     };
 
     for (;;) {
-        // Draining nodes decommission the moment they go idle; their
-        // meter stops at whichever is later, the drain order or the
-        // last work they finished.
-        for (auto &n : nodes_)
-            if (n->draining() && !n->decommissioned() &&
-                n->engine().idle())
-                n->finishDrain();
+        // Draining nodes decommission the moment they go idle and
+        // leave the live index; their meter stops at whichever is
+        // later, the drain order or the last work they finished.
+        std::erase_if(live_, [](Node *n) {
+            if (!n->draining() || !n->engine().idle())
+                return false;
+            n->finishDrain();
+            return true;
+        });
 
         const double t_arrival = next_arrival < trace_.size()
                                      ? trace_[next_arrival].arrival
                                      : kInf;
 
-        int node_idx = -1;
+        // Earliest ready node; ties go to the lowest id.
+        Node *next_node = nullptr;
         double t_node = kInf;
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            if (nodes_[i]->decommissioned())
-                continue;
-            const double t = nodes_[i]->engine().nextReadyTime();
+        for (Node *n : live_) {
+            const double t = n->engine().nextReadyTime();
             if (t < t_node) {
                 t_node = t;
-                node_idx = static_cast<int>(i);
+                next_node = n;
             }
         }
 
@@ -148,9 +151,8 @@ FleetSimulator::run(std::vector<serve::Request> trace)
         // backlogged: it is the instant the backlog can drain.
         double t_commission = kInf;
         if (!backlog.empty())
-            for (const auto &n : nodes_)
-                if (!n->decommissioned() && !n->draining() &&
-                    n->availableAt() > fleet_now)
+            for (const Node *n : live_)
+                if (!n->draining() && n->availableAt() > fleet_now)
                     t_commission =
                         std::min(t_commission, n->availableAt());
 
@@ -191,7 +193,7 @@ FleetSimulator::run(std::vector<serve::Request> trace)
             fleet_now = next_tick;
             flush_backlog(fleet_now);
             const ScaleDecision d =
-                scaler.tick(nodes_, backlog.size(), fleet_now);
+                scaler.tick(live_, backlog.size(), fleet_now);
             if (d.kind == ScaleDecision::Kind::Add) {
                 const NodeTemplate &tmpl =
                     templates_[cfg_.autoscaler.addTemplate];
@@ -215,8 +217,8 @@ FleetSimulator::run(std::vector<serve::Request> trace)
                     tr->instant(
                         kFleetLane, "drain", fleet_now,
                         {{"node",
-                          static_cast<double>(d.node)}});
-                nodes_[d.node]->startDrain(fleet_now);
+                          static_cast<double>(d.node->id())}});
+                d.node->startDrain(fleet_now);
                 ++drains_;
             }
             next_tick += cfg_.autoscaler.intervalSec;
@@ -227,7 +229,7 @@ FleetSimulator::run(std::vector<serve::Request> trace)
         // The engine pauses its admission loop if its clock crosses
         // the next event that could feed it work, so admissions stay
         // in the exact (readyAt, id) order of a pre-submitted run.
-        nodes_[node_idx]->engine().iterate(
+        next_node->engine().iterate(
             std::min(t_arrival, t_commission));
     }
 

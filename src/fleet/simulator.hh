@@ -6,7 +6,7 @@
  * autoscaler reshaping the fleet, and node-second billing.
  *
  * Event model. Four event sources compete for the next global step:
- * the next unrouted arrival, the next node able to make progress
+ * the next unrouted arrival, the next live node able to make progress
  * (each engine reports `nextReadyTime()`), the next autoscaler tick,
  * and — only while arrivals are backlogged — the next node
  * commission. Events are processed in time order with a fixed
@@ -75,8 +75,8 @@ class FleetSimulator
     FleetMetrics run(std::vector<serve::Request> trace);
 
     /**
-     * Nodes after a run (lifecycle state, per-node engines); valid
-     * until the next run.
+     * Every node the last run provisioned, retired ones included
+     * (lifecycle state, per-node engines); valid until the next run.
      */
     const std::vector<std::unique_ptr<Node>> &nodes() const
     {
@@ -91,6 +91,12 @@ class FleetSimulator
     FleetConfig cfg_;
     std::vector<NodeTemplate> templates_;
     std::vector<std::unique_ptr<Node>> nodes_;
+    /**
+     * The nodes not yet decommissioned, in ascending id order. The
+     * event loop, router and autoscaler walk only these, so an event
+     * costs O(live nodes) however many nodes the run has retired.
+     */
+    std::vector<Node *> live_;
     std::vector<serve::Request> trace_; //!< the last run's requests
     std::size_t scaleUps_ = 0;
     std::size_t drains_ = 0;

@@ -1,10 +1,40 @@
 #include "serve/prefix_cache.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/logging.hh"
 
 namespace cllm::serve {
+
+namespace {
+
+/**
+ * Leading whole blocks, at most `limit`, on which a node's token span
+ * equals `tokens` from `pos` on. The caller keeps `limit` within both
+ * the span and the prompt. A block matches whole or not at all, and
+ * both callers only ever use whole blocks, so comparing a block at a
+ * time gives what a token-by-token count divided by `block_tokens`
+ * gives.
+ */
+std::uint64_t
+matchingBlocks(const std::vector<std::int32_t> &span,
+               const std::vector<std::int32_t> &tokens, std::size_t pos,
+               std::uint64_t limit, unsigned block_tokens)
+{
+    const std::size_t bytes = block_tokens * sizeof(std::int32_t);
+    const std::int32_t *a = span.data();
+    const std::int32_t *b = tokens.data() + pos;
+    std::uint64_t n = 0;
+    while (n < limit && std::memcmp(a, b, bytes) == 0) {
+        ++n;
+        a += block_tokens;
+        b += block_tokens;
+    }
+    return n;
+}
+
+} // namespace
 
 PrefixCache::PrefixCache(PrefixMode mode, mem::PagedKvCache *pool,
                          std::uint64_t maxBlocks)
@@ -52,14 +82,15 @@ PrefixCache::matchImpl(Node *root,
         if (it == cur->children.end())
             break;
         Node *child = it->second.get();
-        // Count contiguously matching tokens inside the child's span.
-        std::size_t k = 0;
-        while (k < child->tokens.size() && pos + k < tokens.size() &&
-               child->tokens[k] == tokens[pos + k])
-            ++k;
-        const std::uint64_t mb =
-            std::min<std::uint64_t>(k / blockTokens_,
-                                    max_blocks - m.blocks.size());
+        // Count whole matching blocks inside the child's span, within
+        // the prompt and the leave-one-token cap.
+        const std::uint64_t mb = matchingBlocks(
+            child->tokens, tokens, pos,
+            std::min<std::uint64_t>(
+                {child->blocks.size(),
+                 (tokens.size() - pos) / blockTokens_,
+                 max_blocks - m.blocks.size()}),
+            blockTokens_);
         if (mb == 0)
             break;
         m.blocks.insert(m.blocks.end(), child->blocks.begin(),
@@ -157,15 +188,12 @@ PrefixCache::insert(std::uint32_t tenant,
             return;
         }
         Node *child = it->second.get();
-        std::size_t k = 0;
-        const std::size_t base =
-            static_cast<std::size_t>(pos) * blockTokens_;
-        const std::size_t limit = static_cast<std::size_t>(
-            (nblocks - pos) * blockTokens_);
-        while (k < child->tokens.size() && k < limit &&
-               child->tokens[k] == tokens[base + k])
-            ++k;
-        const std::uint64_t mb = k / blockTokens_;
+        const std::uint64_t mb = matchingBlocks(
+            child->tokens, tokens,
+            static_cast<std::size_t>(pos) * blockTokens_,
+            std::min<std::uint64_t>(child->blocks.size(),
+                                    nblocks - pos),
+            blockTokens_);
         if (mb == child->blocks.size()) {
             // Full node match: descend.
             child->lastUsed = now;
@@ -238,9 +266,10 @@ PrefixCache::lruVictim(const Node *exclude)
     // scan per round keeps the structure simple; ties break by
     // creation id for determinism.
     Node *victim = nullptr;
+    std::vector<Node *> &stack = victimStack_;
     for (auto &[key, root] : roots_) {
         (void)key;
-        std::vector<Node *> stack{root.get()};
+        stack.assign(1, root.get());
         while (!stack.empty()) {
             Node *n = stack.back();
             stack.pop_back();

@@ -61,7 +61,8 @@ struct PrefixCacheStats
  * are ever cached or matched: a prompt's trailing partial block is
  * always recomputed, which keeps cached blocks immutable (decode
  * appends and COW never touch a full block, so a pinned block's
- * contents are stable for the lifetime of the pin).
+ * contents are stable for the lifetime of the pin). Lookups compare
+ * a whole block of token IDs at a time.
  */
 class PrefixCache
 {
@@ -150,6 +151,8 @@ class PrefixCache
     std::size_t nodes_ = 0;   //!< non-root nodes
     std::uint64_t nextId_ = 0;
     PrefixCacheStats stats_{};
+    /** lruVictim's walk stack, kept to reuse its allocation. */
+    std::vector<Node *> victimStack_;
 };
 
 } // namespace cllm::serve

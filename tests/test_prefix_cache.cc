@@ -8,8 +8,9 @@
  *     blocks, and the extended consistent() conservation law holds.
  *  2. PrefixCache structure — insert/match round trips, the
  *     always-compute-one-token match cap, node splits on divergence,
- *     tenant scoping, LRU eviction order, live-refcount safety, and
- *     budget-pressure eviction.
+ *     tenant scoping, LRU eviction order, live-refcount safety,
+ *     budget-pressure eviction, and block-at-a-time matching checked
+ *     against a token-by-token reference.
  *  3. Engine differential — the same shared-prompt trace with caching
  *     off and on must complete the identical request set with
  *     identical output tokens while the cached run computes strictly
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -339,6 +341,176 @@ TEST(PrefixCacheTree, BudgetPressureEvictsLruBeforeTruncating)
     EXPECT_GT(cache.peek(0, seqTokens(8, 5000)).tokens, 0u);
     EXPECT_TRUE(cache.consistent());
     EXPECT_TRUE(kv.consistent());
+}
+
+namespace {
+
+/**
+ * Token-by-token reference for PrefixCache lookups and inserts
+ * (uncapped, no eviction): the cached prefixes as flat token paths
+ * with their pool blocks, matched one token at a time and rounded
+ * down to whole blocks.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(unsigned block_tokens) : bt_(block_tokens) {}
+
+    PrefixMatch
+    match(const std::vector<std::int32_t> &tokens) const
+    {
+        PrefixMatch m;
+        if (tokens.empty())
+            return m;
+        // Leave one prompt token to compute.
+        const auto [path, blocks] =
+            longest(tokens, (tokens.size() - 1) / bt_);
+        m.tokens = static_cast<unsigned>(blocks * bt_);
+        if (path)
+            m.blocks.assign(path->blocks.begin(),
+                            path->blocks.begin() +
+                                static_cast<std::ptrdiff_t>(blocks));
+        return m;
+    }
+
+    void
+    insert(const std::vector<std::int32_t> &tokens,
+           const std::vector<std::uint32_t> &table)
+    {
+        const std::size_t nblocks =
+            std::min(tokens.size() / bt_, table.size());
+        const auto [path, shared] = longest(tokens, nblocks);
+        if (shared == nblocks)
+            return;
+        // A cached block opening with the same token as the prompt's
+        // next block but differing inside it blocks the insert: the
+        // tree keys children by first token.
+        const std::size_t at = shared * bt_;
+        for (const Path &p : paths_)
+            if (p.tokens.size() > at && p.tokens[at] == tokens[at] &&
+                std::equal(tokens.begin(),
+                           tokens.begin() +
+                               static_cast<std::ptrdiff_t>(at),
+                           p.tokens.begin()))
+                return;
+        Path fresh;
+        fresh.tokens.assign(tokens.begin(),
+                            tokens.begin() + static_cast<std::ptrdiff_t>(
+                                                 nblocks * bt_));
+        if (path)
+            fresh.blocks.assign(path->blocks.begin(),
+                                path->blocks.begin() +
+                                    static_cast<std::ptrdiff_t>(shared));
+        fresh.blocks.insert(fresh.blocks.end(),
+                            table.begin() +
+                                static_cast<std::ptrdiff_t>(shared),
+                            table.begin() +
+                                static_cast<std::ptrdiff_t>(nblocks));
+        paths_.push_back(std::move(fresh));
+    }
+
+  private:
+    struct Path
+    {
+        std::vector<std::int32_t> tokens; //!< whole blocks
+        std::vector<std::uint32_t> blocks;
+    };
+
+    /** The path sharing the most whole leading blocks with `tokens`,
+     *  at most `limit` of them, and that block count. */
+    std::pair<const Path *, std::size_t>
+    longest(const std::vector<std::int32_t> &tokens,
+            std::size_t limit) const
+    {
+        const Path *best = nullptr;
+        std::size_t best_blocks = 0;
+        for (const Path &p : paths_) {
+            std::size_t k = 0;
+            while (k < p.tokens.size() && k < tokens.size() &&
+                   p.tokens[k] == tokens[k])
+                ++k;
+            const std::size_t b = std::min(k / bt_, limit);
+            if (b > best_blocks) {
+                best = &p;
+                best_blocks = b;
+            }
+        }
+        return {best, best_blocks};
+    }
+
+    unsigned bt_;
+    std::vector<Path> paths_;
+};
+
+} // namespace
+
+// Block-at-a-time matching must agree with a token-by-token count on
+// every prompt shape: divergence at each offset of the first, a middle
+// and the last block, lengths on and one off a block boundary, and
+// prompts shorter than one block.
+TEST(PrefixCacheTree, BlockMatchAgreesWithTokenByTokenReference)
+{
+    constexpr unsigned kBt = 4;
+    constexpr std::size_t kBlocks = 5;
+    for (const std::size_t len :
+         {std::size_t{1}, std::size_t{kBt - 1}, std::size_t{kBt},
+          std::size_t{kBt + 1}, kBlocks * kBt - 1, kBlocks * kBt,
+          kBlocks * kBt + 1}) {
+        SCOPED_TRACE("prompt length " + std::to_string(len));
+        mem::PagedKvCache kv({512, kBt});
+        PrefixCache cache(PrefixMode::PerTenant, &kv);
+        ReferenceCache ref(kBt);
+        std::uint64_t seq = 0, hits = 0, misses = 0;
+
+        // The base prompt, then one variant per divergence offset in
+        // the first, a middle and the last (possibly partial) block.
+        const std::vector<std::int32_t> base = seqTokens(len, 1000);
+        std::vector<std::vector<std::int32_t>> prompts{base};
+        const std::size_t last = (len - 1) / kBt;
+        for (const std::size_t block : {std::size_t{0}, last / 2, last})
+            for (std::size_t d = block * kBt;
+                 d < std::min<std::size_t>((block + 1) * kBt, len); ++d) {
+                std::vector<std::int32_t> v = base;
+                v[d] = 90000 + static_cast<std::int32_t>(d);
+                prompts.push_back(std::move(v));
+            }
+        // Prefixes and an extension of the base probe the caps.
+        std::vector<std::vector<std::int32_t>> probes = prompts;
+        probes.push_back(seqTokens(len + kBt, 1000));
+        probes.push_back(seqTokens(len / 2, 1000));
+        probes.push_back({});
+
+        auto expectSame = [&](const PrefixMatch &got,
+                              const PrefixMatch &want) {
+            EXPECT_EQ(got.tokens, want.tokens);
+            EXPECT_EQ(got.blocks, want.blocks);
+        };
+        auto checkProbes = [&] {
+            for (const auto &p : probes)
+                expectSame(cache.peek(0, p), ref.match(p));
+        };
+
+        double now = 1.0;
+        for (const auto &p : prompts) {
+            checkProbes();
+            const PrefixMatch want = ref.match(p);
+            expectSame(cache.commitMatch(0, p, now), want);
+            ++(want.tokens > 0 ? hits : misses);
+            EXPECT_TRUE(cache.consistent());
+
+            ASSERT_TRUE(kv.addSequence(++seq, p.size()));
+            const std::vector<std::uint32_t> table = kv.blockTable(seq);
+            cache.insert(0, p, table, now);
+            ref.insert(p, table);
+            kv.release(seq);
+            EXPECT_TRUE(cache.consistent());
+            EXPECT_TRUE(kv.consistent());
+            now += 1.0;
+        }
+        checkProbes();
+        EXPECT_EQ(cache.stats().hits, hits);
+        EXPECT_EQ(cache.stats().misses, misses);
+    }
 }
 
 // ---------------------------------------------------------------------
