@@ -64,12 +64,12 @@ class Autoscaler
     const AutoscalerConfig &config() const { return cfg_; }
 
     /**
-     * Evaluate at fleet time `now` over `live`, the fleet's
+     * Evaluate at fleet time `now`. `nodes` are the fleet's
      * not-yet-decommissioned nodes in ascending id order. `backlog`
      * is the router's unplaced arrival count (only non-zero while
      * nothing is routable).
      */
-    ScaleDecision tick(const std::vector<Node *> &live,
+    ScaleDecision tick(const std::vector<Node *> &nodes,
                        std::size_t backlog, double now);
 
   private:
