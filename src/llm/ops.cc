@@ -36,7 +36,7 @@ opName(OpKind k)
     return "?";
 }
 
-std::vector<OpProfile>
+OpList
 blockDecodeOps(const ModelConfig &m, hw::Dtype dtype, double pos,
                double nseq)
 {
@@ -46,8 +46,7 @@ blockDecodeOps(const ModelConfig &m, hw::Dtype dtype, double pos,
     const double wb = hw::dtypeBytes(dtype);
     const double ab = dtype == hw::Dtype::Fp32 ? 4.0 : 2.0;
 
-    std::vector<OpProfile> ops;
-    ops.reserve(9);
+    OpList ops;
 
     ops.push_back({OpKind::InputNorm, 5.0 * d, d * ab, 3.0 * d * ab, 0.0});
     ops.push_back({OpKind::QkvProj, 2.0 * d * (d + 2.0 * dkv),
@@ -105,7 +104,7 @@ blockDecodeOps(const ModelConfig &m, hw::Dtype dtype, double pos,
     return ops;
 }
 
-std::vector<OpProfile>
+OpList
 topLevelDecodeOps(const ModelConfig &m, hw::Dtype dtype)
 {
     const double d = m.hidden;
@@ -113,7 +112,7 @@ topLevelDecodeOps(const ModelConfig &m, hw::Dtype dtype)
     const double wb = hw::dtypeBytes(dtype);
     const double ab = dtype == hw::Dtype::Fp32 ? 4.0 : 2.0;
 
-    std::vector<OpProfile> ops;
+    OpList ops;
     ops.push_back({OpKind::Embed, 0.0, d * ab, d * ab, 0.0});
     ops.push_back({OpKind::FinalNorm, 5.0 * d, d * ab, 3.0 * d * ab, 0.0});
     ops.push_back({OpKind::LmHead, 2.0 * d * v, d * v * wb,

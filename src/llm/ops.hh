@@ -10,11 +10,12 @@
 #ifndef CLLM_LLM_OPS_HH
 #define CLLM_LLM_OPS_HH
 
-#include <string>
-#include <vector>
+#include <array>
+#include <cstddef>
 
 #include "hw/cpu.hh"
 #include "llm/model_config.hh"
+#include "util/logging.hh"
 
 namespace cllm::llm {
 
@@ -49,19 +50,48 @@ struct OpProfile
     double kvBytesPerSeq = 0.0; //!< KV cache read+appended
 };
 
+/** Most ops an op list holds: a MoE block's ten. */
+inline constexpr std::size_t kMaxOps = 10;
+
+/**
+ * A fixed-capacity list of op profiles, held by value. Building one
+ * touches no heap, so pricing a step (`stepTotals`, which every
+ * serving step calls) allocates nothing. Appending past `kMaxOps`
+ * panics: a block that grows an op must raise the constant.
+ */
+class OpList
+{
+  public:
+    void
+    push_back(const OpProfile &op)
+    {
+        if (n_ == kMaxOps)
+            cllm_panic("OpList: more than ", kMaxOps, " ops");
+        ops_[n_++] = op;
+    }
+
+    std::size_t size() const { return n_; }
+    const OpProfile &front() const { return ops_[0]; }
+    const OpProfile &back() const { return ops_[n_ - 1]; }
+    const OpProfile *begin() const { return ops_.data(); }
+    const OpProfile *end() const { return ops_.data() + n_; }
+
+  private:
+    std::array<OpProfile, kMaxOps> ops_;
+    std::size_t n_ = 0;
+};
+
 /**
  * Operator profiles for ONE decoder block during decode at context
- * position `pos` (0-based length of the attended prefix). For MoE
- * models, `nseq` (concurrent sequences) determines how many distinct
- * experts the step streams from memory.
+ * position `pos` (0-based length of the attended prefix), in
+ * execution order. For MoE models, `nseq` (concurrent sequences)
+ * determines how many distinct experts the step streams from memory.
  */
-std::vector<OpProfile> blockDecodeOps(const ModelConfig &m,
-                                      hw::Dtype dtype, double pos,
-                                      double nseq = 1.0);
+OpList blockDecodeOps(const ModelConfig &m, hw::Dtype dtype, double pos,
+                      double nseq = 1.0);
 
 /** Model-level ops outside the blocks (embed, final norm, LM head). */
-std::vector<OpProfile> topLevelDecodeOps(const ModelConfig &m,
-                                         hw::Dtype dtype);
+OpList topLevelDecodeOps(const ModelConfig &m, hw::Dtype dtype);
 
 /** Aggregate totals for one decode step of the whole model. */
 struct StepTotals

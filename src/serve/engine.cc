@@ -358,8 +358,10 @@ ContinuousEngine::publishKvGauges() const
 }
 
 // Add each counter's growth since the last publish to its obs counter.
-// A counter that never moves never registers, so a run with a feature
-// off leaves that feature's counters out of the registry.
+// Called when an iteration leaves the engine idle, so a busy period
+// pays one table walk, not one per step. A counter that never moves
+// never registers, so a run with a feature off leaves that feature's
+// counters out of the registry.
 void
 ContinuousEngine::publishCounters()
 {
@@ -413,7 +415,8 @@ ContinuousEngine::iterate(double admit_horizon)
         return;
     if (admit(admit_horizon))
         step();
-    publishCounters();
+    if (idle())
+        publishCounters();
 }
 
 bool

@@ -72,6 +72,13 @@ class ContinuousEngine
      * (readyAt, id) order a fully pre-submitted run would have used.
      * With everything submitted up front (Server::run) the default
      * horizon never pauses anything.
+     *
+     * The obs counters (`kServeCounters` rows with an obs name) are
+     * published when an iteration leaves the engine idle, not after
+     * every step. An idle engine's whole tally is in the registry; a
+     * busy one's lags by its current busy period. So whenever every
+     * engine is idle, each registry total equals the sum of the
+     * engines' tally fields since the last `Registry::reset()`.
      */
     void iterate(double admit_horizon =
                      std::numeric_limits<double>::infinity());
@@ -238,7 +245,7 @@ class ContinuousEngine
      */
     void applyStep();
     void publishKvGauges() const;
-    /** Bring the obs counters up to date with the tally. */
+    /** Bring the obs counters up to date with the tally (on idle). */
     void publishCounters();
 
     /** One prefill slice of a step: `tokens` prompt tokens. */

@@ -261,18 +261,6 @@ summarize(const std::vector<double> &samples, double z_max)
 }
 
 void
-RunLengthSamples::push(double x, std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    size_ += n;
-    if (!runs_.empty() && runs_.back().value == x)
-        runs_.back().count += n;
-    else
-        runs_.push_back({x, n});
-}
-
-void
 RunLengthSamples::append(const RunLengthSamples &other)
 {
     // No reserve(size + other.size()) here: an exact-size reserve per

@@ -137,7 +137,17 @@ class RunLengthSamples
     };
 
     /** Append `n` copies of `x` (n = 0 is a no-op). */
-    void push(double x, std::uint64_t n = 1);
+    void
+    push(double x, std::uint64_t n = 1)
+    {
+        if (n == 0)
+            return;
+        size_ += n;
+        if (!runs_.empty() && runs_.back().value == x)
+            runs_.back().count += n;
+        else
+            runs_.push_back({x, n});
+    }
 
     /** Append every sample of `other`, in its order. */
     void append(const RunLengthSamples &other);

@@ -24,6 +24,7 @@
 #include "fleet/simulator.hh"
 #include "golden_util.hh"
 #include "obs/chrome_export.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "par/pool.hh"
 #include "util/json.hh"
@@ -288,6 +289,30 @@ TEST(FleetLifecycle, RetiredNodesEmitNoEngineEvents)
             << "node " << n->id();
     }
     EXPECT_GE(retired_with_events, 10u);
+}
+
+// An engine publishes its obs counters when an iteration leaves it
+// idle, and a node retires only once its engine is idle. So after a
+// run the registry holds every node's whole tally: each obs row equals
+// the fleet rollup, even with dozens of nodes drained along the way.
+// A retired node that never published would leave its share out.
+TEST(FleetLifecycle, ObsCountersEqualRollupAfterRun)
+{
+    obs::Registry::global().reset();
+    FleetSimulator sim(churnFleetConfig(), churnTemplates());
+    const FleetMetrics m = sim.run(churnTrace());
+    EXPECT_GE(m.drains, 20u);
+    EXPECT_GT(m.prefixHits, 0u);
+    EXPECT_GT(m.chunkSlices, 0u);
+    EXPECT_GT(m.specVerifySteps, 0u);
+    for (const serve::CounterDef &d : serve::kServeCounters) {
+        if (!d.obs)
+            continue;
+        const auto f =
+            std::get<std::uint64_t serve::ServeCounters::*>(d.member);
+        EXPECT_EQ(obs::Registry::global().counter(d.obs).total(), m.*f)
+            << d.obs;
+    }
 }
 
 TEST(FleetSplitSeed, ScheduleDependsOnlyOnSeedAndId)

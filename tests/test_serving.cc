@@ -18,6 +18,7 @@
 #include <variant>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serve/engine.hh"
 #include "serve/serving.hh"
@@ -906,6 +907,71 @@ TEST(CounterTable, GatedKeysAppearExactlyWhenTheirFlagIsSet)
                       std::string::npos)
                 << d.json;
         }
+}
+
+// The engine publishes its obs counters when an iteration leaves it
+// idle, not after every step. One engine with every feature on runs
+// two busy periods with an idle gap between them; after each, every
+// obs row's registry total equals its tally field. A publish that is
+// skipped, runs only once, or counts a delta twice fails one of the
+// two checks.
+TEST(ServeCounters, ObsTotalsEqualTallyWhenIdle)
+{
+    WorkloadConfig w = lightLoad();
+    w.arrivalRate = 4.0;
+    w.numRequests = 80;
+    auto trace = generateWorkload(w);
+    SharedPrefixMix mix;
+    mix.tenants = 4;
+    mix.prefixLen = 128;
+    applySharedPrefixMix(trace, mix);
+
+    ServerConfig cfg;
+    cfg.maxBatch = 12;
+    cfg.kvMode = KvMode::Paged;
+    cfg.kvBlocks = 96;
+    cfg.kvBlockTokens = 16;
+    cfg.paged.kvBytesPerToken =
+        llm::llama2_7b().kvBytesPerToken(hw::Dtype::Bf16);
+    cfg.prefixMode = PrefixMode::PerTenant;
+    cfg.chunkedPrefill.mode = ChunkMode::DecodePriority;
+    cfg.chunkedPrefill.chunkTokens = 64;
+    cfg.specDecode.enabled = true;
+    const auto step = cpuModel(tee::makeTdx());
+    ContinuousEngine eng(*step, cfg);
+
+    obs::Registry::global().reset();
+    const auto expectPublished = [&](const char *period) {
+        for (const CounterDef &d : kServeCounters) {
+            if (!d.obs)
+                continue;
+            const auto f =
+                std::get<std::uint64_t ServeCounters::*>(d.member);
+            EXPECT_EQ(obs::Registry::global().counter(d.obs).total(),
+                      eng.tally().*f)
+                << period << ": " << d.obs;
+        }
+    };
+
+    const std::size_t half = trace.size() / 2;
+    for (std::size_t i = 0; i < half; ++i)
+        eng.submit(&trace[i], trace[i].arrival);
+    while (!eng.idle())
+        eng.iterate();
+    const ServeTally first = eng.tally();
+    EXPECT_GT(first.prefixHits, 0u);
+    EXPECT_GT(first.chunkSlices, 0u);
+    EXPECT_GT(first.specVerifySteps, 0u);
+    expectPublished("first busy period");
+
+    const double reopen = eng.clock() + 10.0;
+    for (std::size_t i = half; i < trace.size(); ++i)
+        eng.submit(&trace[i], std::max(trace[i].arrival, reopen));
+    while (!eng.idle())
+        eng.iterate();
+    EXPECT_GT(eng.tally().decodeSteps, first.decodeSteps);
+    EXPECT_GT(eng.tally().prefixHits, first.prefixHits);
+    expectPublished("second busy period");
 }
 
 TEST(CounterTable, DerivedRatios)
