@@ -61,13 +61,17 @@ ModelConfig::expertsTouched(double nseq) const
 {
     if (!isMoe())
         return 1.0;
-    // Each of nseq tokens picks expertsPerToken of numExperts
+    return distinctExperts(numExperts, expertsPerToken, nseq);
+}
+
+double
+distinctExperts(double experts, double per_token, double nseq)
+{
+    // Each of nseq tokens picks per_token of the experts
     // (approximately uniformly); the expected number of distinct
     // experts is E * (1 - (1 - k/E)^n).
-    const double e = numExperts;
-    const double k = expertsPerToken;
-    const double miss = std::pow(1.0 - k / e, nseq);
-    return e * (1.0 - miss);
+    const double miss = std::pow(1.0 - per_token / experts, nseq);
+    return experts * (1.0 - miss);
 }
 
 double

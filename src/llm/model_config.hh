@@ -67,7 +67,7 @@ struct ModelConfig
 
     /**
      * Distinct experts a decode step touches for `nseq` concurrent
-     * sequences (coupon-collector expectation, capped at numExperts).
+     * sequences (distinctExperts; 1 for a dense model).
      */
     double expertsTouched(double nseq) const;
 
@@ -77,6 +77,13 @@ struct ModelConfig
     /** KV-cache bytes per token per sequence (stored in bf16/fp32). */
     double kvBytesPerToken(hw::Dtype dtype) const;
 };
+
+/**
+ * Expected distinct experts `nseq` tokens touch when each picks
+ * `per_token` of `experts` (coupon-collector expectation, capped at
+ * `experts`).
+ */
+double distinctExperts(double experts, double per_token, double nseq);
 
 /** Llama2 7B (L32, d4096, MHA). */
 ModelConfig llama2_7b();

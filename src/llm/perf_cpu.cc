@@ -133,30 +133,36 @@ CpuPerfModel::kernel(const hw::CpuSpec &cpu,
 CpuStepKernel::CpuStepKernel(const DeploymentRates &rates,
                              const ModelConfig &model, hw::Dtype dtype,
                              double overlap_beta)
-    : r_(rates), model_(model), dtype_(dtype), overlap_(overlap_beta)
+    : r_(rates), totals_(model, dtype), overlap_(overlap_beta),
+      weightScale_(rates.weightBytesPerParam / hw::dtypeBytes(dtype)),
+      // Weight-only int8 inserts explicit dequantization kernels on
+      // the hot path, inflating the per-step operator count.
+      decodeFixed_(totals_.opCount() *
+                   (dtype == hw::Dtype::Int8 ? 1.25 : 1.0) *
+                   rates.tax.perOpFixedSec),
+      weightBytes_(static_cast<double>(model.numParams()) *
+                   rates.weightBytesPerParam),
+      kvBytesPerToken_(model.kvBytesPerToken(dtype)),
+      matmulParams_(static_cast<double>(model.matmulParams())),
+      layers_(model.layers), hidden_(model.hidden)
 {
 }
 
 StepCost
 CpuStepKernel::decode(double seqs, double width, double depth) const
 {
-    const StepTotals tot = stepTotals(model_, dtype_, depth, seqs);
+    const StepTotals tot = totals_.at(depth, seqs);
     const double flops = seqs * tot.flopsPerSeq * width;
     // Weights once per pass; activations and KV per scored position.
-    const double weight_traffic =
-        tot.weightBytes *
-        (r_.weightBytesPerParam / hw::dtypeBytes(dtype_));
+    const double weight_traffic = tot.weightBytes * weightScale_;
     const double bytes =
         weight_traffic +
         seqs * width *
             (tot.actBytesPerSeq * r_.actFactor + tot.kvBytesPerSeq);
-    // Weight-only int8 inserts explicit dequantization kernels on the
-    // hot path, inflating the per-step operator count.
-    const double op_factor = dtype_ == hw::Dtype::Int8 ? 1.25 : 1.0;
     StepCost c;
     c.compute = flops / r_.decodeRate;
     c.memory = bytes / r_.bw + bytes * r_.tax.extraSecPerByte;
-    c.fixed = tot.opCount * op_factor * r_.tax.perOpFixedSec;
+    c.fixed = decodeFixed_;
     c.boundary = r_.tax.perTokenFixedSec;
     c.overlap = overlap_;
     return c;
@@ -172,22 +178,18 @@ CpuStepKernel::prefill(unsigned prompts, unsigned done, unsigned chunk,
     // Matmul FLOPs for the slice plus its share of the quadratic
     // attention term.
     const double flops =
-        prompts *
-        (2.0 * static_cast<double>(model_.matmulParams()) * s +
-         2.0 * model_.layers * model_.hidden * (t1 * t1 - t0 * t0));
-    const double weight_bytes =
-        static_cast<double>(model_.numParams()) * r_.weightBytesPerParam;
-    const double kv_write = prompts * model_.kvBytesPerToken(dtype_) * s;
-    const double kv_read = prompts * model_.kvBytesPerToken(dtype_) * t0;
-    const StepTotals tot = stepTotals(model_, dtype_, t0 + s / 2.0);
+        prompts * (2.0 * matmulParams_ * s +
+                   2.0 * layers_ * hidden_ * (t1 * t1 - t0 * t0));
+    const double kv_write = prompts * kvBytesPerToken_ * s;
+    const double kv_read = prompts * kvBytesPerToken_ * t0;
     const double bytes =
-        (weights_streamed ? 0.0 : weight_bytes) +
-        prompts * tot.actBytesPerSeq * s * r_.actFactor * 0.25 +
+        (weights_streamed ? 0.0 : weightBytes_) +
+        prompts * totals_.actBytesPerSeq() * s * r_.actFactor * 0.25 +
         kv_write + kv_read;
     StepCost c;
     c.compute = flops / r_.prefillRate;
     c.memory = bytes / r_.bw + bytes * r_.tax.extraSecPerByte;
-    c.fixed = tot.opCount * r_.tax.perOpFixedSec;
+    c.fixed = totals_.opCount() * r_.tax.perOpFixedSec;
     c.boundary = prompts * r_.tax.perTokenFixedSec;
     c.overlap = overlap_;
     return c;

@@ -140,6 +140,8 @@ struct DeploymentRates
  * The CPU pricing kernel: one deployment's rates bound to a model.
  * Whole runs (CpuPerfModel::run) and the serving simulator's steps
  * (serve::makeCpuStepModel) both price through its two entry points.
+ * The model's constants and its decode-totals table are bound at
+ * construction, so a call evaluates only what depends on its shape.
  */
 class CpuStepKernel
 {
@@ -178,9 +180,15 @@ class CpuStepKernel
 
   private:
     DeploymentRates r_;
-    ModelConfig model_;
-    hw::Dtype dtype_;
+    StepTotalsTable totals_;
     double overlap_;
+    double weightScale_;     //!< streamed bytes per op-list weight byte
+    double decodeFixed_;     //!< per-op fixed seconds of a decode pass
+    double weightBytes_;     //!< whole-model weight bytes
+    double kvBytesPerToken_;
+    double matmulParams_;
+    double layers_;
+    double hidden_;
 };
 
 /**

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "llm/model_config.hh"
 #include "llm/ops.hh"
+#include "step_totals_ref.hh"
 
 using namespace cllm;
 using namespace cllm::llm;
@@ -28,18 +31,67 @@ TEST(Ops, StepTotalsAggregateBlocksAndTop)
     const auto top = topLevelDecodeOps(m, hw::Dtype::Bf16);
     const StepTotals t = stepTotals(m, hw::Dtype::Bf16, pos);
 
-    double flops = 0.0, weights = 0.0;
+    double flops = 0.0, weights = 0.0, act = 0.0, kv = 0.0;
     for (const auto &op : block) {
         flops += op.flopsPerSeq * m.layers;
         weights += op.weightBytes * m.layers;
+        act += op.actBytesPerSeq * m.layers;
+        kv += op.kvBytesPerSeq * m.layers;
     }
     for (const auto &op : top) {
         flops += op.flopsPerSeq;
         weights += op.weightBytes;
+        act += op.actBytesPerSeq;
+        kv += op.kvBytesPerSeq;
     }
-    EXPECT_DOUBLE_EQ(t.flopsPerSeq, flops);
-    EXPECT_DOUBLE_EQ(t.weightBytes, weights);
+    EXPECT_EQ(t.flopsPerSeq, flops);
+    EXPECT_EQ(t.weightBytes, weights);
+    EXPECT_EQ(t.actBytesPerSeq, act);
+    EXPECT_EQ(t.kvBytesPerSeq, kv);
     EXPECT_EQ(t.opCount, 9 * m.layers + 3);
+}
+
+// The table adds its stored addends around the recomputed attention
+// and expert terms in op order, so every field equals the per-op sum
+// bit for bit: on every preset, dtype, depth and batch below.
+// Integer-valued addends sum exactly in any order, so only the
+// non-dyadic depths (like the mean depths a serving step prices) can
+// tell a folded or reordered sum from the op-order one.
+TEST(Ops, StepTotalsTableMatchesPerOpSumBitwise)
+{
+    using cllm::testing::bits;
+    std::vector<double> depths = {0.0,    0.5,    1.0,     127.5,
+                                  777.25, 4095.5, 131072.0};
+    for (int i = 0; i < 256; ++i)
+        depths.push_back(0.013 + 0.37 * i);
+    for (const auto &preset : kModelPresets.entries) {
+        const ModelConfig m = preset.value();
+        for (const auto &dtype : hw::kDtypeNames.entries) {
+            const hw::Dtype dt = dtype.value;
+            const StepTotalsTable table(m, dt);
+            for (double pos : depths)
+                for (double nseq : {1.0, 1.5, 8.0, 256.0, 4096.0}) {
+                    const StepTotals ref =
+                        cllm::testing::perOpSum(m, dt, pos, nseq);
+                    const StepTotals got = table.at(pos, nseq);
+                    SCOPED_TRACE(::testing::Message()
+                                 << m.name << " " << dtype.name
+                                 << " pos " << pos << " nseq " << nseq);
+                    EXPECT_EQ(bits(got.flopsPerSeq),
+                              bits(ref.flopsPerSeq));
+                    EXPECT_EQ(bits(got.weightBytes),
+                              bits(ref.weightBytes));
+                    EXPECT_EQ(bits(got.actBytesPerSeq),
+                              bits(ref.actBytesPerSeq));
+                    EXPECT_EQ(bits(got.kvBytesPerSeq),
+                              bits(ref.kvBytesPerSeq));
+                    EXPECT_EQ(got.opCount, ref.opCount);
+                    EXPECT_EQ(table.actBytesPerSeq(),
+                              ref.actBytesPerSeq);
+                    EXPECT_EQ(table.opCount(), ref.opCount);
+                }
+        }
+    }
 }
 
 TEST(Ops, StepFlopsApproxTwiceMatmulParams)
