@@ -186,7 +186,8 @@ class StepTotalsTable
     unsigned opCount_ = 0;
 };
 
-/** Sum block ops over all layers plus top-level ops. */
+/** One step's totals from a fresh table; a pricing kernel keeps its
+ *  StepTotalsTable instead of rebuilding it per call. */
 StepTotals stepTotals(const ModelConfig &m, hw::Dtype dtype, double pos,
                       double nseq = 1.0);
 
