@@ -33,7 +33,6 @@ emr1()
     s.coresPerSocket = 32;
     s.freqGhz = 2.1;
     s.dramBwPerSocket = 307e9;
-    s.llcBytesPerSocket = 160.0 * 1024 * 1024;
     s.cpuPriceUsd = 2130.0;
     s.numa.nodes = 2;
     s.numa.localBwBytes = s.dramBwPerSocket;
@@ -51,7 +50,6 @@ emr2()
     s.coresPerSocket = 60;
     s.freqGhz = 2.0;
     s.dramBwPerSocket = 307e9;
-    s.llcBytesPerSocket = 300.0 * 1024 * 1024;
     s.cpuPriceUsd = 10710.0;
     s.numa.nodes = 2;
     s.numa.localBwBytes = s.dramBwPerSocket;
@@ -71,7 +69,6 @@ spr()
     // kernel efficiency and memory bandwidth.
     s.kernelEfficiency = 0.45 * 0.72;
     s.dramBwPerSocket = 250e9;
-    s.llcBytesPerSocket = 105.0 * 1024 * 1024;
     s.cpuPriceUsd = 10710.0 * 0.55;
     s.numa.localBwBytes = s.dramBwPerSocket;
     return s;

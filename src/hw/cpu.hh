@@ -63,7 +63,6 @@ struct CpuSpec
     double kernelEfficiency = 0.45; //!< achievable fraction of peak
 
     double dramBwPerSocket = 307e9; //!< 8ch DDR5-4800
-    double llcBytesPerSocket = 160.0 * 1024 * 1024;
     mem::NumaConfig numa{};
     mem::TlbConfig tlb{};
 

@@ -4,6 +4,14 @@
 
 namespace cllm::llm {
 
+double
+ringAllReduceFactor(unsigned ranks)
+{
+    if (ranks == 0)
+        cllm_panic("ringAllReduceFactor: zero ranks");
+    return 2.0 * (ranks - 1) / static_cast<double>(ranks);
+}
+
 GpuClusterPerfModel::GpuClusterPerfModel(GpuPerfConfig gpu_cfg,
                                          ClusterLinkConfig link_cfg)
     : cfg_(gpu_cfg), link_(link_cfg)
@@ -51,11 +59,10 @@ GpuClusterPerfModel::run(const hw::GpuSpec &gpu, const ModelConfig &model,
     if (params.ipsec)
         link_lat *= 1.8;
 
-    // Ring all-reduce moves 2*(tp-1)/tp of the payload per member;
-    // two collectives per layer (attention output, MLP output).
+    // Two ring all-reduces per layer (attention output, MLP output).
     const double act_bytes =
         params.dtype == hw::Dtype::Fp32 ? 4.0 : 2.0;
-    const double ring = 2.0 * (tp - 1.0) / tp;
+    const double ring = ringAllReduceFactor(params.gpus);
     auto comm_seconds = [&](double tokens) {
         if (params.gpus == 1)
             return 0.0;

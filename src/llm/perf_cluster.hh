@@ -39,9 +39,16 @@ struct ClusterLinkConfig
     double rawBwBytes = 40e9;      //!< RDMA/GPUdirect path
     double hostRoutedBwBytes = 3e9;//!< confidential bounce path [89]
     double ipsecBwFactor = 0.53;   //!< ~90% overhead worst case [25]
-    double rawLatencyUs = 20.0;    //!< per collective
+    double rawLatencyUs = 20.0;    //!< per all-reduce
     double hostRoutedLatencyUs = 90.0;
 };
+
+/**
+ * The ring all-reduce per-rank traffic factor, 2*(n-1)/n of the
+ * payload. Every tensor-parallel all-reduce the cluster model prices
+ * moves this share of its payload through each rank's link.
+ */
+double ringAllReduceFactor(unsigned ranks);
 
 /**
  * Tensor-parallel timing: per decode step each layer all-reduces its

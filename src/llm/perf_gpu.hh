@@ -47,7 +47,7 @@ struct GpuPerfConfig
 /**
  * The GPU pricing kernel: one (possibly confidential) deployment bound
  * to a model, optionally tensor-parallel over `shards` GPUs (FLOPs,
- * weights and KV split evenly; collectives are the caller's). A pass
+ * weights and KV split evenly; all-reduces are the caller's). A pass
  * is max(t_comp, t_mem) — the GPU hides the shorter leg entirely —
  * plus its kernel launches (with the CC launch overhead) plus its
  * host-link bytes through the encrypted bounce buffer. Whole runs and
@@ -104,7 +104,7 @@ class GpuStepKernel
 /**
  * Price a whole run on `kernel`: prefill `batch` prompts of `in_len`
  * tokens, then `out_len` noisy decode steps. `comm(tokens)` adds the
- * collective seconds of a pass over `tokens` tokens (zero on one GPU).
+ * all-reduce seconds of a pass over `tokens` tokens (zero on one GPU).
  * The single-GPU and tensor-parallel models share this loop; callers
  * fill in workingSetBytes.
  */

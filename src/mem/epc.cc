@@ -7,48 +7,6 @@
 
 namespace cllm::mem {
 
-EpcCache::EpcCache(std::uint64_t capacity_pages) : capacity_(capacity_pages)
-{
-    if (capacity_ == 0)
-        cllm_fatal("EpcCache with zero capacity");
-}
-
-bool
-EpcCache::access(std::uint64_t page_no)
-{
-    auto it = map_.find(page_no);
-    if (it != map_.end()) {
-        ++hits_;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return true;
-    }
-    ++misses_;
-    if (lru_.size() >= capacity_) {
-        const std::uint64_t victim = lru_.back();
-        lru_.pop_back();
-        map_.erase(victim);
-        ++evictions_;
-    }
-    lru_.push_front(page_no);
-    map_[page_no] = lru_.begin();
-    return false;
-}
-
-double
-EpcCache::missRatio() const
-{
-    const std::uint64_t total = hits_ + misses_;
-    return total ? static_cast<double>(misses_) / total : 0.0;
-}
-
-void
-EpcCache::reset()
-{
-    lru_.clear();
-    map_.clear();
-    hits_ = misses_ = evictions_ = 0;
-}
-
 double
 EpcCostModel::scanMissRatio(std::uint64_t working_set_bytes,
                             std::uint64_t epc_bytes) const

@@ -4,59 +4,19 @@
  * region; enclave pages beyond it are paged out to regular memory with
  * encryption + verification on the way back in, which the paper
  * identifies as a major SGX cost when working sets exceed the EPC
- * (Section IV-A). Two pieces live here:
- *
- *  - EpcCache: a functional LRU page cache used in unit tests and to
- *    derive miss ratios from real access traces;
- *  - EpcCostModel: the analytic adapter turning a miss ratio and
- *    paging cost into a bandwidth factor for the roofline.
+ * (Section IV-A). EpcCostModel turns a working set's spill past the
+ * EPC into extra seconds per byte for the roofline, and into swap and
+ * paging-storm seconds for the serving and fault layers. Its
+ * pageFaultUs and the miss-ratio shoulder are fitted to the paper's
+ * bands, not derived from a page-level replay.
  */
 
 #ifndef CLLM_MEM_EPC_HH
 #define CLLM_MEM_EPC_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 namespace cllm::mem {
-
-/**
- * Functional LRU cache of enclave pages (4 KiB granularity).
- */
-class EpcCache
-{
-  public:
-    /** Create with a capacity in 4 KiB pages. */
-    explicit EpcCache(std::uint64_t capacity_pages);
-
-    /**
-     * Touch a page (by page number); returns true on hit. A miss
-     * inserts the page, evicting the least recently used if full.
-     */
-    bool access(std::uint64_t page_no);
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-    std::uint64_t evictions() const { return evictions_; }
-    std::uint64_t residentPages() const { return lru_.size(); }
-    std::uint64_t capacityPages() const { return capacity_; }
-
-    /** Miss ratio over all accesses so far (0 when untouched). */
-    double missRatio() const;
-
-    /** Drop all resident pages and counters. */
-    void reset();
-
-  private:
-    std::uint64_t capacity_;
-    std::list<std::uint64_t> lru_; // front = most recent
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        map_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
-};
 
 /**
  * Analytic EPC paging cost.

@@ -186,22 +186,4 @@ MeeTree::tamperCounter(unsigned level, std::size_t idx,
     counters_[level][idx] = value;
 }
 
-double
-MeeCostModel::perLineNs(unsigned tree_depth) const
-{
-    const double walk = (1.0 - walkHitRate) * perNodeWalkNs *
-                        static_cast<double>(tree_depth);
-    return perLineCryptoNs + walk;
-}
-
-double
-MeeCostModel::bandwidthFactor(double raw_bytes_per_s,
-                              unsigned tree_depth) const
-{
-    if (raw_bytes_per_s <= 0.0)
-        cllm_panic("bandwidthFactor: non-positive bandwidth");
-    const double line_time_ns = 1e9 * kLineBytes / raw_bytes_per_s;
-    return line_time_ns / (line_time_ns + perLineNs(tree_depth));
-}
-
 } // namespace cllm::mem

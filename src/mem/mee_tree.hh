@@ -11,8 +11,9 @@
  * This gives the library a real, attackable/verifiable implementation
  * of the mechanism the paper attributes much of the SGX/TDX overhead
  * to: every read walks and verifies the branch, every write bumps
- * counters up to the root. The walk statistics feed the analytic cost
- * model (`MeeCostModel`).
+ * counters up to the root. The timing path does not read it: the SGX
+ * and TDX byte taxes are constants fitted to the paper's bands
+ * (`tee::SgxConfig::meeBwTax`, `tee::TdxConfig::tmeBwTax`).
  */
 
 #ifndef CLLM_MEM_MEE_TREE_HH
@@ -34,7 +35,7 @@ struct MeeReadResult
     bool ok = false;        //!< false when integrity verification failed
 };
 
-/** Counters describing MEE activity, for the analytic cost model. */
+/** Counters describing MEE activity. */
 struct MeeStats
 {
     std::uint64_t reads = 0;       //!< protected-line reads
@@ -119,25 +120,6 @@ class MeeTree
      */
     void tamperCounter(unsigned level, std::size_t idx,
                        std::uint64_t value);
-};
-
-/**
- * Analytic cost model: converts MEE activity (or raw traffic volumes)
- * into a bandwidth tax. Calibrated so that SGX-class protection costs
- * more than TDX's TME-MK (which has no integrity tree walk on reads).
- */
-struct MeeCostModel
-{
-    double perLineCryptoNs = 1.2;   //!< AES pipeline cost per 64B line
-    double perNodeWalkNs = 2.0;     //!< per tree node touched on a miss
-    double walkHitRate = 0.85;      //!< counter-cache hit rate on chip
-
-    /** Average extra nanoseconds per protected 64-byte line. */
-    double perLineNs(unsigned tree_depth) const;
-
-    /** Effective bandwidth multiplier (<= 1) for a raw bandwidth. */
-    double bandwidthFactor(double raw_bytes_per_s,
-                           unsigned tree_depth) const;
 };
 
 } // namespace cllm::mem

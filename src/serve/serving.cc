@@ -135,20 +135,17 @@ applySharedPrefixMix(std::vector<Request> &trace,
         const unsigned group = static_cast<unsigned>(
             rng.uniformInt(0, mix.promptsPerTenant - 1));
         const unsigned plen = std::min(mix.prefixLen, r.inLen);
+        // Shared heads are a pure function of (tenant, group,
+        // position); tails and unshared prompts are unique per
+        // request id.
+        const std::uint64_t head_seed =
+            splitSeed(0x9e3779b97f4a7c15ULL ^ r.tenant, group);
+        const std::uint64_t tail_seed =
+            splitSeed(0xc2b2ae3d27d4eb4fULL, r.id);
         r.promptTokens.resize(r.inLen);
         for (unsigned j = 0; j < r.inLen; ++j) {
-            // Shared heads are a pure function of (tenant, group,
-            // position); tails and unshared prompts are unique per
-            // request id.
             const std::uint64_t tok =
-                (shared && j < plen)
-                    ? splitSeed(splitSeed(0x9e3779b97f4a7c15ULL ^
-                                              r.tenant,
-                                          group),
-                                j)
-                    : splitSeed(splitSeed(0xc2b2ae3d27d4eb4fULL,
-                                          r.id),
-                                j);
+                splitSeed((shared && j < plen) ? head_seed : tail_seed, j);
             r.promptTokens[j] =
                 static_cast<std::int32_t>(tok & 0x7fffffff);
         }

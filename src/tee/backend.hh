@@ -35,7 +35,6 @@ struct TeeRequest
 {
     unsigned sockets = 1;              //!< active sockets
     std::uint64_t workingSetBytes = 0; //!< per decode pass
-    double randomFraction = 0.02;      //!< scattered share of traffic
     mem::PageSize requestedPage = mem::PageSize::Page1G;
     bool numaBindRequested = true;
     bool sncEnabled = false;           //!< sub-NUMA clustering on
@@ -111,7 +110,6 @@ struct VmConfig
     bool numaBound = true;
     double virtComputeTax = 0.012;  //!< steal/vmexit compute share
     double perOpFixedUs = 0.6;      //!< timer/IPI virtualization
-    double syscallExtraUs = 0.0;    //!< no transition cost in a VM
 };
 
 /** Tunable knobs of the TDX model, layered on the VM model. */

@@ -1,15 +1,34 @@
-#include "llm/collective.hh"
+/**
+ * @file
+ * Functional ring collectives over simulated ranks, the oracle for the
+ * cluster timing model's all-reduce traffic. `llm::GpuClusterPerfModel`
+ * prices each tensor-parallel all-reduce with `llm::ringAllReduceFactor`
+ * (2*(n-1)/n of the payload per rank); ringAllReduce runs the actual
+ * algorithm (reduce-scatter + all-gather over chunked buffers) so the
+ * tests can check that the priced factor is what the ring really moves.
+ */
+
+#ifndef CLLM_TESTS_COLLECTIVE_REF_HH
+#define CLLM_TESTS_COLLECTIVE_REF_HH
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "util/logging.hh"
 
-namespace cllm::llm {
+namespace cllm::testing {
 
-namespace {
+/** Traffic accounting for one collective. */
+struct CollectiveStats
+{
+    std::uint64_t bytesSentPerRank = 0; //!< on-wire bytes each rank sent
+    unsigned steps = 0;                 //!< communication rounds
+};
 
 /** Bounds [begin, end) of chunk c when len splits into n chunks. */
-std::pair<std::size_t, std::size_t>
+inline std::pair<std::size_t, std::size_t>
 chunkBounds(std::size_t len, unsigned n, unsigned c)
 {
     const std::size_t base = len / n;
@@ -20,17 +39,12 @@ chunkBounds(std::size_t len, unsigned n, unsigned c)
     return {begin, begin + size};
 }
 
-} // namespace
-
-double
-ringAllReduceFactor(unsigned ranks)
-{
-    if (ranks == 0)
-        cllm_panic("ringAllReduceFactor: zero ranks");
-    return 2.0 * (ranks - 1) / static_cast<double>(ranks);
-}
-
-CollectiveStats
+/**
+ * In-place ring all-reduce (sum) across `ranks[i]` buffers, which
+ * must all have the same length. After the call every rank holds the
+ * elementwise sum.
+ */
+inline CollectiveStats
 ringAllReduce(std::vector<std::vector<float>> &ranks)
 {
     CollectiveStats stats;
@@ -85,7 +99,13 @@ ringAllReduce(std::vector<std::vector<float>> &ranks)
     return stats;
 }
 
-CollectiveStats
+/**
+ * In-place all-gather: rank i contributes its buffer; afterwards
+ * every rank holds the concatenation (in rank order). The pipelined
+ * ring forwards each piece once per hop over n-1 steps, so a rank
+ * sends about the payload minus its own share.
+ */
+inline CollectiveStats
 ringAllGather(std::vector<std::vector<float>> &ranks)
 {
     CollectiveStats stats;
@@ -95,24 +115,19 @@ ringAllGather(std::vector<std::vector<float>> &ranks)
     if (n == 1)
         return stats;
 
-    // Concatenate in rank order; each rank forwards every piece it
-    // has not originated, so per-rank traffic is the sum of the other
-    // ranks' contributions (circulated over n-1 steps).
     std::vector<float> all;
-    std::uint64_t other_bytes = 0;
+    std::uint64_t total_bytes = 0;
     for (unsigned r = 0; r < n; ++r) {
         all.insert(all.end(), ranks[r].begin(), ranks[r].end());
-        other_bytes += ranks[r].size() * sizeof(float);
+        total_bytes += ranks[r].size() * sizeof(float);
     }
-    // Every rank sends its own buffer n-1 times in a naive ring, but
-    // the pipelined ring forwards each chunk once per hop: per-rank
-    // sent bytes = total payload minus its own contribution.
     for (unsigned r = 0; r < n; ++r)
         ranks[r] = all;
     stats.steps = n - 1;
-    stats.bytesSentPerRank =
-        other_bytes - other_bytes / n; // approximately uniform shares
+    stats.bytesSentPerRank = total_bytes - total_bytes / n;
     return stats;
 }
 
-} // namespace cllm::llm
+} // namespace cllm::testing
+
+#endif // CLLM_TESTS_COLLECTIVE_REF_HH

@@ -1,20 +1,22 @@
 /**
  * @file
- * Tests for the functional ring collectives, including the check that
- * the cluster timing model's priced traffic factor matches what the
- * real algorithm moves.
+ * Tests for the functional ring collectives (tests/collective_ref.hh),
+ * including the check that the traffic factor the cluster timing model
+ * prices matches what the real algorithm moves.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "llm/collective.hh"
+#include "collective_ref.hh"
 #include "llm/perf_cluster.hh"
 #include "util/rng.hh"
 
 using namespace cllm;
 using namespace cllm::llm;
+using cllm::testing::ringAllGather;
+using cllm::testing::ringAllReduce;
 
 namespace {
 
@@ -87,9 +89,9 @@ TEST(AllReduce, EmptyBuffersAreNoop)
 
 TEST(AllReduce, TrafficMatchesRingFactor)
 {
-    // The cluster timing model prices 2*(n-1)/n of the payload per
-    // rank; the functional algorithm must move exactly that (within
-    // chunk-rounding).
+    // The cluster timing model prices ringAllReduceFactor(n) of the
+    // payload per rank; the functional algorithm must move exactly
+    // that (within chunk-rounding).
     for (unsigned n : {2u, 4u, 8u}) {
         auto ranks = randomRanks(n, 1024, n + 1);
         const auto stats = ringAllReduce(ranks);
@@ -106,21 +108,6 @@ TEST(AllReduce, FactorFormula)
     EXPECT_DOUBLE_EQ(ringAllReduceFactor(1), 0.0);
     EXPECT_DOUBLE_EQ(ringAllReduceFactor(2), 1.0);
     EXPECT_DOUBLE_EQ(ringAllReduceFactor(4), 1.5);
-}
-
-TEST(AllReduce, ClusterModelUsesSameFactor)
-{
-    // The comm coefficient inside GpuClusterPerfModel::run is the
-    // ring factor; cross-check through the public linkBandwidth and a
-    // two-point latency measurement.
-    // Factor(4)/factor(2) = 1.5; the cluster model embeds the same
-    // coefficient in its per-layer collective payloads.
-    EXPECT_NEAR(ringAllReduceFactor(4) / ringAllReduceFactor(2), 1.5,
-                1e-12);
-    GpuClusterPerfModel m;
-    ClusterRunParams p;
-    p.gpus = 2;
-    EXPECT_GT(m.linkBandwidth(p), 0.0);
 }
 
 TEST(AllReduceDeath, RaggedBuffersFatal)

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the EPC page cache (functional LRU) and its analytic
- * paging-cost model (Section IV-A).
+ * Tests for the analytic EPC paging-cost model (Section IV-A).
  */
 
 #include <gtest/gtest.h>
@@ -11,74 +10,6 @@
 
 using namespace cllm;
 using namespace cllm::mem;
-
-TEST(EpcCache, HitsAfterInsert)
-{
-    EpcCache c(4);
-    EXPECT_FALSE(c.access(1));
-    EXPECT_TRUE(c.access(1));
-    EXPECT_EQ(c.hits(), 1u);
-    EXPECT_EQ(c.misses(), 1u);
-}
-
-TEST(EpcCache, EvictsLeastRecentlyUsed)
-{
-    EpcCache c(2);
-    c.access(1);
-    c.access(2);
-    c.access(1);     // 1 becomes MRU
-    c.access(3);     // evicts 2
-    EXPECT_TRUE(c.access(1));
-    EXPECT_FALSE(c.access(2));
-    EXPECT_EQ(c.evictions(), 2u); // 2 evicted, then 3 evicted by 2
-}
-
-TEST(EpcCache, CapacityRespected)
-{
-    EpcCache c(8);
-    for (std::uint64_t p = 0; p < 100; ++p)
-        c.access(p);
-    EXPECT_EQ(c.residentPages(), 8u);
-    EXPECT_EQ(c.capacityPages(), 8u);
-}
-
-TEST(EpcCache, CyclicScanBeyondCapacityAlwaysMisses)
-{
-    // The pathological LRU case the cost model's cliff encodes.
-    EpcCache c(4);
-    for (int pass = 0; pass < 3; ++pass)
-        for (std::uint64_t p = 0; p < 6; ++p)
-            c.access(p);
-    EXPECT_EQ(c.hits(), 0u);
-    EXPECT_EQ(c.missRatio(), 1.0);
-}
-
-TEST(EpcCache, WorkingSetWithinCapacityConverges)
-{
-    EpcCache c(8);
-    for (int pass = 0; pass < 10; ++pass)
-        for (std::uint64_t p = 0; p < 8; ++p)
-            c.access(p);
-    // Only the first pass misses.
-    EXPECT_EQ(c.misses(), 8u);
-    EXPECT_EQ(c.hits(), 72u);
-}
-
-TEST(EpcCache, ResetClearsEverything)
-{
-    EpcCache c(4);
-    c.access(1);
-    c.access(2);
-    c.reset();
-    EXPECT_EQ(c.residentPages(), 0u);
-    EXPECT_EQ(c.hits() + c.misses(), 0u);
-    EXPECT_EQ(c.missRatio(), 0.0);
-}
-
-TEST(EpcCacheDeath, ZeroCapacityFatal)
-{
-    EXPECT_DEATH(EpcCache{0}, "zero capacity");
-}
 
 TEST(EpcCostModel, FreeWhenWorkingSetFits)
 {

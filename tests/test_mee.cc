@@ -2,8 +2,7 @@
  * @file
  * Tests for the functional memory-encryption engine: roundtrips,
  * confidentiality (ciphertext differs), integrity (tamper detection on
- * data, counters, and replay), tree construction, and the analytic
- * cost model.
+ * data, counters, and replay) and tree construction.
  */
 
 #include <gtest/gtest.h>
@@ -179,27 +178,6 @@ TEST(MeeTree, DifferentKeysDifferentCiphertext)
     a.writeLine(0, patternLine(6));
     b.writeLine(0, patternLine(6));
     EXPECT_NE(m1.readLine(0), m2.readLine(0));
-}
-
-TEST(MeeCostModel, PerLineCostPositiveAndGrowsWithDepth)
-{
-    MeeCostModel m;
-    EXPECT_GT(m.perLineNs(1), 0.0);
-    EXPECT_LT(m.perLineNs(1), m.perLineNs(8));
-}
-
-TEST(MeeCostModel, BandwidthFactorInUnitInterval)
-{
-    MeeCostModel m;
-    const double f = m.bandwidthFactor(300e9, 4);
-    EXPECT_GT(f, 0.0);
-    EXPECT_LT(f, 1.0);
-}
-
-TEST(MeeCostModel, FasterMemoryPaysRelativelyMore)
-{
-    MeeCostModel m;
-    EXPECT_LT(m.bandwidthFactor(600e9, 4), m.bandwidthFactor(100e9, 4));
 }
 
 TEST(MeeTreeDeath, OutOfRangePanics)
