@@ -240,7 +240,12 @@ FleetMetrics
 FleetSimulator::finalize(std::size_t backlogged_total)
 {
     double makespan = trace_.back().arrival;
-    serve::ServeTally tally{};
+    serve::ServeCounters counters{};
+    // Every node's per-token gaps, summarized as one multiset in
+    // node-id order, so the fleet ITL summary is deterministic at any
+    // thread count.
+    std::vector<const RunLengthSamples *> itl;
+    itl.reserve(nodes_.size());
     double occupancy_sum = 0.0;
     std::size_t steps = 0;
     double kv_peak = 0.0;
@@ -249,10 +254,8 @@ FleetSimulator::finalize(std::size_t backlogged_total)
         const serve::ContinuousEngine &e = n->engine();
         makespan = std::max(makespan, e.clock());
         const serve::ServeTally &t = e.tally();
-        serve::mergeCounters(tally, t);
-        // Pool every node's per-token gaps (node-id order, so the
-        // fleet ITL summary is deterministic at any thread count).
-        tally.itlSamples.append(t.itlSamples);
+        serve::mergeCounters(counters, t);
+        itl.push_back(&t.itlSamples);
         occupancy_sum += e.occupancySum();
         steps += e.steps();
         kv_peak = std::max(kv_peak, e.kvPeak());
@@ -264,8 +267,8 @@ FleetSimulator::finalize(std::size_t backlogged_total)
     for (const serve::Request &r : trace_)
         reqs.push_back(&r);
     const serve::ServeMetrics agg = serve::finalizeRequests(
-        reqs, makespan, occupancy_sum, steps, tally, cfg_.ttftSlo,
-        cfg_.tpotSlo);
+        reqs, makespan, occupancy_sum, steps, counters, itl,
+        cfg_.ttftSlo, cfg_.tpotSlo);
 
     FleetMetrics m;
     static_cast<serve::ServeCounters &>(m) = agg;

@@ -1024,11 +1024,12 @@ ContinuousEngine::applyStep()
 ServeMetrics
 finalizeRequests(const std::vector<const Request *> &reqs,
                  double makespan, double occupancy_sum,
-                 std::size_t steps, const ServeTally &tally,
+                 std::size_t steps, const ServeCounters &counters,
+                 std::span<const RunLengthSamples *const> itl,
                  double ttft_slo, double tpot_slo)
 {
     ServeMetrics m;
-    static_cast<ServeCounters &>(m) = tally;
+    static_cast<ServeCounters &>(m) = counters;
     m.makespan = makespan;
     std::vector<double> ttft, tpot;
     std::uint64_t tokens = 0;
@@ -1051,7 +1052,7 @@ finalizeRequests(const std::vector<const Request *> &reqs,
             ++slo_ok;
     }
     const bool dropped_any =
-        tally.shed || tally.timedOut || tally.failed;
+        counters.shed || counters.timedOut || counters.failed;
     if (!reqs.empty() && m.completed == 0 && !dropped_any)
         cllm_panic("serving simulation completed no requests");
     m.tokensPerSecond = makespan > 0.0 ? tokens / makespan : 0.0;
@@ -1071,7 +1072,7 @@ finalizeRequests(const std::vector<const Request *> &reqs,
                          ? static_cast<double>(m.completed) /
                                static_cast<double>(m.submitted)
                          : 0.0;
-    m.itl = summarize(tally.itlSamples);
+    m.itl = summarize(itl);
     return m;
 }
 

@@ -15,6 +15,7 @@
 #include <limits>
 #include <optional>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "serve/prefix_cache.hh"
@@ -316,15 +317,28 @@ class ContinuousEngine
 
 /**
  * Build a ServeMetrics from annotated requests: the request-level part
- * of ContinuousEngine::metrics, also used by the fleet rollup. Panics
- * only when a non-empty request set completed nothing without any
- * being dropped (a simulation bug).
+ * of ContinuousEngine::metrics, also used by the fleet rollup. `itl`
+ * holds every engine's per-token gaps; they are summarized as one
+ * multiset, in the order given. Panics only when a non-empty request
+ * set completed nothing without any being dropped (a simulation bug).
  */
 ServeMetrics finalizeRequests(const std::vector<const Request *> &reqs,
                               double makespan, double occupancy_sum,
                               std::size_t steps,
-                              const ServeTally &tally, double ttft_slo,
-                              double tpot_slo);
+                              const ServeCounters &counters,
+                              std::span<const RunLengthSamples *const> itl,
+                              double ttft_slo, double tpot_slo);
+
+/** finalizeRequests() of one engine's tally. */
+inline ServeMetrics
+finalizeRequests(const std::vector<const Request *> &reqs,
+                 double makespan, double occupancy_sum, std::size_t steps,
+                 const ServeTally &tally, double ttft_slo, double tpot_slo)
+{
+    const RunLengthSamples *const itl = &tally.itlSamples;
+    return finalizeRequests(reqs, makespan, occupancy_sum, steps, tally,
+                            {&itl, 1}, ttft_slo, tpot_slo);
+}
 
 } // namespace cllm::serve
 

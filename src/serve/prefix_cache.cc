@@ -97,7 +97,7 @@ PrefixCache::matchImpl(Node *root,
                         child->blocks.begin() +
                             static_cast<std::ptrdiff_t>(mb));
         if (touch)
-            child->lastUsed = now;
+            stamp(child, now);
         pos += static_cast<std::size_t>(mb) * blockTokens_;
         if (mb < child->blocks.size())
             break; // diverged inside this node
@@ -183,6 +183,9 @@ PrefixCache::insert(std::uint32_t tenant,
             pinnedBlocks_ += take;
             stats_.insertedBlocks += take;
             ++nodes_;
+            if (isLeaf(cur))
+                leaves_.erase(cur);
+            leaves_.insert(leaf.get());
             cur->children.emplace(leaf->tokens.front(),
                                   std::move(leaf));
             return;
@@ -196,7 +199,7 @@ PrefixCache::insert(std::uint32_t tenant,
             blockTokens_);
         if (mb == child->blocks.size()) {
             // Full node match: descend.
-            child->lastUsed = now;
+            stamp(child, now);
             cur = child;
             pos += mb;
             continue;
@@ -223,7 +226,9 @@ PrefixCache::insert(std::uint32_t tenant,
                            child->blocks.begin() +
                                static_cast<std::ptrdiff_t>(mb));
         // Re-home the child under mid with its head trimmed; pins
-        // move with the blocks, so no pool traffic here.
+        // move with the blocks, so no pool traffic here. Its stamp,
+        // id and leafhood do not change, nor does the LRU order; mid
+        // is interior, so it never enters it.
         std::unique_ptr<Node> owned = std::move(it->second);
         cur->children.erase(it);
         owned->tokens.erase(owned->tokens.begin(),
@@ -247,6 +252,18 @@ PrefixCache::insert(std::uint32_t tenant,
 }
 
 void
+PrefixCache::stamp(Node *n, double now)
+{
+    if (!isLeaf(n)) {
+        n->lastUsed = now;
+        return;
+    }
+    auto leaf = leaves_.extract(n);
+    n->lastUsed = now;
+    leaves_.insert(std::move(leaf));
+}
+
+void
 PrefixCache::evictLeaf(Node *leaf)
 {
     stats_.evictedBlocks += leaf->blocks.size();
@@ -254,45 +271,31 @@ PrefixCache::evictLeaf(Node *leaf)
     pinnedBlocks_ -= leaf->blocks.size();
     pool_->unpin(leaf->blocks);
     --nodes_;
+    leaves_.erase(leaf);
     Node *parent = leaf->parent;
     parent->children.erase(leaf->tokens.front());
+    if (isLeaf(parent))
+        leaves_.insert(parent);
 }
 
 PrefixCache::Node *
 PrefixCache::lruVictim(const Node *exclude)
 {
-    // LRU over evictable leaves: childless, non-root, and every
-    // block cache-only (no running sequence still reads it). Full
-    // scan per round keeps the structure simple; ties break by
-    // creation id for determinism.
+    // The first leaf in LRU order, other than `exclude`, that no
+    // running sequence still reads.
     Node *victim = nullptr;
-    std::vector<Node *> &stack = victimStack_;
-    for (auto &[key, root] : roots_) {
-        (void)key;
-        stack.assign(1, root.get());
-        while (!stack.empty()) {
-            Node *n = stack.back();
-            stack.pop_back();
-            for (auto &[tok, child] : n->children) {
-                (void)tok;
-                stack.push_back(child.get());
-            }
-            if (n == exclude || n->parent == nullptr ||
-                !n->children.empty())
-                continue;
-            const bool evictable = std::all_of(
-                n->blocks.begin(), n->blocks.end(),
-                [this](std::uint32_t b) {
-                    return pool_->cacheOnly(b);
-                });
-            if (!evictable)
-                continue;
-            if (!victim || n->lastUsed < victim->lastUsed ||
-                (n->lastUsed == victim->lastUsed &&
-                 n->id < victim->id))
-                victim = n;
+    for (Node *n : leaves_) {
+        if (n != exclude &&
+            std::all_of(n->blocks.begin(), n->blocks.end(),
+                        [this](std::uint32_t b) {
+                            return pool_->cacheOnly(b);
+                        })) {
+            victim = n;
+            break;
         }
     }
+    if (victimProbe_)
+        victimProbe_(*this, victim, exclude);
     return victim;
 }
 
@@ -316,7 +319,7 @@ bool
 PrefixCache::consistent() const
 {
     std::uint64_t blocks = 0;
-    std::size_t nodes = 0;
+    std::size_t nodes = 0, leaves = 0;
     for (const auto &[key, root] : roots_) {
         (void)key;
         std::vector<const Node *> stack{root.get()};
@@ -337,6 +340,11 @@ PrefixCache::consistent() const
                 continue;
             }
             ++nodes;
+            if (isLeaf(n)) {
+                if (!leaves_.contains(n))
+                    return false;
+                ++leaves;
+            }
             if (n->tokens.size() !=
                 n->blocks.size() * blockTokens_)
                 return false;
@@ -348,7 +356,7 @@ PrefixCache::consistent() const
             blocks += n->blocks.size();
         }
     }
-    if (nodes != nodes_)
+    if (nodes != nodes_ || leaves != leaves_.size())
         return false;
     if (maxBlocks_ != 0 && blocks > maxBlocks_)
         return false;

@@ -20,6 +20,12 @@
  * enclave; Global shares one tree. See `serve::PrefixMode` for the
  * TEE isolation rationale.
  *
+ * Eviction is vLLM's evictor: leaves are kept in (last use, creation
+ * id) order, and the victim is the first of them, other than the node
+ * an insert is growing, whose blocks are all cache-only. No running
+ * sequence signal is needed, because the cache-only check stays at
+ * the front of that order.
+ *
  * Sequential state driven by the single-threaded simulation loop;
  * determinism follows from never consulting anything but the call
  * sequence (ties in eviction break by node creation order).
@@ -31,6 +37,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "mem/kv_paged.hh"
@@ -117,12 +124,14 @@ class PrefixCache
     /**
      * Structural invariants: node token spans are block-aligned,
      * children are keyed by their first token, every cached block is
-     * pinned in the pool, and per-node block counts sum to
-     * pinnedBlocks(). Test hook.
+     * pinned in the pool, per-node block counts sum to pinnedBlocks(),
+     * and the LRU order holds exactly the leaves. Test hook.
      */
     bool consistent() const;
 
   private:
+    friend struct PrefixCacheTestPeer;
+
     struct Node
     {
         Node *parent = nullptr;
@@ -134,10 +143,31 @@ class PrefixCache
         std::uint64_t id = 0; //!< creation order, the LRU tie-break
     };
 
+    /** LRU order: least recently used first, ties by creation. */
+    struct ByLru
+    {
+        using is_transparent = void; //!< look up by const Node *
+
+        bool
+        operator()(const Node *a, const Node *b) const
+        {
+            return a->lastUsed != b->lastUsed ? a->lastUsed < b->lastUsed
+                                              : a->id < b->id;
+        }
+    };
+
+    static bool
+    isLeaf(const Node *n)
+    {
+        return n->parent && n->children.empty();
+    }
+
     Node *rootFor(std::uint32_t tenant);
     PrefixMatch matchImpl(Node *root,
                           const std::vector<std::int32_t> &tokens,
                           double now, bool touch);
+    /** Set a node's LRU stamp, keeping the leaf order sorted. */
+    void stamp(Node *n, double now);
     void evictLeaf(Node *leaf);
     Node *lruVictim(const Node *exclude);
 
@@ -151,8 +181,15 @@ class PrefixCache
     std::size_t nodes_ = 0;   //!< non-root nodes
     std::uint64_t nextId_ = 0;
     PrefixCacheStats stats_{};
-    /** lruVictim's walk stack, kept to reuse its allocation. */
-    std::vector<Node *> victimStack_;
+    /** Every leaf (non-root, childless node), in LRU order. */
+    std::set<Node *, ByLru> leaves_;
+    /**
+     * Test seam: when set, sees each lruVictim answer (null when
+     * nothing is evictable) before the victim is evicted.
+     */
+    static inline void (*victimProbe_)(const PrefixCache &,
+                                       const Node *victim,
+                                       const Node *exclude) = nullptr;
 };
 
 } // namespace cllm::serve

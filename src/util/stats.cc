@@ -1,7 +1,9 @@
 #include "util/stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -26,26 +28,6 @@ OnlineStats::add(double x, std::uint64_t n)
     const double delta = x - mean_;
     mean_ += delta * w / static_cast<double>(n_);
     m2_ += delta * (x - mean_) * w;
-}
-
-void
-OnlineStats::merge(const OnlineStats &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ += other.n_;
 }
 
 double
@@ -91,10 +73,22 @@ struct Type7Rank
 
 using Run = RunLengthSamples::Run;
 
-bool
-byValue(const Run &a, const Run &b)
+/** Buckets of summarize()'s rank histogram. */
+constexpr unsigned kRankBuckets = 4096;
+
+/**
+ * An order-preserving image of a double in the unsigned integers:
+ * x < y implies key(x) < key(y), and x == y implies key(x) == key(y)
+ * (x + 0.0 turns -0.0 into +0.0, so the minimum's key is never above
+ * a sample's). Buckets cut from it are monotone in value for any
+ * finite inputs, with no arithmetic that can overflow or lose the
+ * span of subnormals.
+ */
+std::uint64_t
+orderKey(double x)
 {
-    return a.value < b.value;
+    const auto bits = std::bit_cast<std::uint64_t>(x + 0.0);
+    return bits >> 63 ? ~bits : bits | (std::uint64_t{1} << 63);
 }
 
 std::uint64_t
@@ -107,17 +101,13 @@ sampleCount(const Run *first, const Run *last)
 }
 
 /**
- * Weighted quickselect over runs [first, last) whose smallest sample
- * has sorted index `base`: returns the run holding the sample at
- * sorted index `i`, and reorders the range so that no run before it
- * has a larger value and none after it a smaller one — nth_element's
- * postcondition, weighted by run counts. `base` becomes the sorted
- * index of the returned run's first sample, so a query for a higher
- * index can resume past it. Runs equal to the pivot (or unordered
- * against it) form one group, so every round makes progress.
+ * Weighted quickselect: the value of the sample at sorted index `i`
+ * among the runs [first, last), which it reorders. Runs equal to the
+ * pivot (or unordered against it) form one group, so every round
+ * makes progress.
  */
-Run *
-selectRun(Run *first, Run *last, std::uint64_t &base, std::uint64_t i)
+double
+selectValue(Run *first, Run *last, std::uint64_t i)
 {
     for (;;) {
         const double pivot = first[(last - first) / 2].value;
@@ -125,32 +115,20 @@ selectRun(Run *first, Run *last, std::uint64_t &base, std::uint64_t i)
             first, last, [pivot](const Run &r) { return r.value < pivot; });
         Run *const gt = std::partition(
             eq, last, [pivot](const Run &r) { return !(pivot < r.value); });
-        const std::uint64_t below = base + sampleCount(first, eq);
+        const std::uint64_t below = sampleCount(first, eq);
         const std::uint64_t equal = sampleCount(eq, gt);
         if (i < below) {
             last = eq;
         } else if (i < below + equal) {
-            // Step to the equal run that holds i itself, so the
-            // caller's next rank up is past it or in it.
-            base = below;
-            Run *hit = eq;
-            for (; i >= base + hit->count; ++hit)
-                base += hit->count;
-            return hit;
+            return eq->value;
         } else {
-            base = below + equal;
+            i -= below + equal;
             first = gt;
         }
     }
 }
 
 } // namespace
-
-double
-percentile(std::vector<double> samples, double p)
-{
-    return percentiles(std::move(samples), {p})[0];
-}
 
 std::vector<double>
 percentiles(std::vector<double> samples, const std::vector<double> &ps)
@@ -199,12 +177,6 @@ percentiles(std::vector<double> samples, const std::vector<double> &ps)
         out[oi] = r.interpolate(samples[lo], v_hi);
     }
     return out;
-}
-
-double
-median(std::vector<double> samples)
-{
-    return percentile(std::move(samples), 50.0);
 }
 
 std::vector<double>
@@ -260,61 +232,117 @@ summarize(const std::vector<double> &samples, double z_max)
     return s;
 }
 
-void
-RunLengthSamples::append(const RunLengthSamples &other)
+SampleSummary
+summarize(std::span<const RunLengthSamples *const> parts)
 {
-    // No reserve(size + other.size()) here: an exact-size reserve per
-    // call defeats geometric growth, and a fleet appends one node at a
-    // time, so pooling would copy the pool once per node.
-    if (&other == this)
-        return append(RunLengthSamples(other));
-    for (const Run &r : other.runs_)
-        push(r.value, r.count);
+    SampleSummary s;
+    const RunLengthSamples *head = nullptr;
+    for (const RunLengthSamples *p : parts)
+        if (!p->empty()) {
+            head = p;
+            break;
+        }
+    if (!head)
+        return s;
+
+    // Pass 1. `nonfinite` sums x − x, which is 0 unless some x is
+    // infinite or NaN (the shifted sum may overflow on finite ones).
+    const double x0 = head->runs().front().value;
+    double lo = x0, hi = x0, shifted = 0.0, nonfinite = 0.0;
+    std::uint64_t n = 0;
+    for (const RunLengthSamples *p : parts) {
+        for (const Run &r : p->runs()) {
+            lo = std::min(lo, r.value);
+            hi = std::max(hi, r.value);
+            shifted += static_cast<double>(r.count) * (r.value - x0);
+            nonfinite += r.value - r.value;
+        }
+        n += p->size();
+    }
+    if (nonfinite != 0.0)
+        cllm_panic("summarize: non-finite ITL sample");
+    const double nd = static_cast<double>(n);
+    const double mean = x0 + shifted / nd;
+
+    // Pass 2: deviations from the mean, and the rank histogram.
+    const std::uint64_t key_lo = orderKey(lo);
+    const int width =
+        static_cast<int>(std::bit_width(orderKey(hi) - key_lo));
+    const int shift = std::max(
+        0, width - static_cast<int>(std::bit_width(kRankBuckets - 1)));
+    const auto bucket = [key_lo, shift](double x) {
+        return static_cast<unsigned>((orderKey(x) - key_lo) >> shift);
+    };
+    std::vector<std::uint64_t> weight(kRankBuckets, 0);
+    double dev = 0.0, dev2 = 0.0;
+    for (const RunLengthSamples *p : parts)
+        for (const Run &r : p->runs()) {
+            const double w = static_cast<double>(r.count);
+            const double d = r.value - mean;
+            dev += w * d;
+            dev2 += w * d * d;
+            weight[bucket(r.value)] += r.count;
+        }
+    s.count = n;
+    s.mean = mean + dev / nd;
+    s.stddev = n > 1 ? std::sqrt(std::max(0.0, dev2 - dev * dev / nd) /
+                                 (nd - 1.0))
+                     : 0.0;
+    s.min = lo;
+    s.max = hi;
+
+    // Pass 3: the ranks type-7 interpolates (lo and lo + 1 of each
+    // percentile) fall in at most six buckets; gather their runs.
+    const double ps[] = {50.0, 95.0, 99.0};
+    std::uint64_t ranks[6];
+    for (int k = 0; k < 3; ++k) {
+        const Type7Rank r(ps[k], n);
+        ranks[2 * k] = r.lo;
+        ranks[2 * k + 1] = r.hi;
+    }
+    struct Picked
+    {
+        std::uint64_t base; //!< sorted index of its first sample
+        std::vector<Run> runs;
+    };
+    std::vector<Picked> picked;
+    std::vector<std::int8_t> slot(kRankBuckets, -1);
+    int rank_slot[6];
+    std::partial_sum(weight.begin(), weight.end(), weight.begin());
+    for (int k = 0; k < 6; ++k) {
+        // weight[b] is now the count of samples in buckets 0..b.
+        const auto b = static_cast<unsigned>(
+            std::upper_bound(weight.begin(), weight.end(), ranks[k]) -
+            weight.begin());
+        if (slot[b] < 0) {
+            slot[b] = static_cast<std::int8_t>(picked.size());
+            picked.push_back({b ? weight[b - 1] : 0, {}});
+        }
+        rank_slot[k] = slot[b];
+    }
+    for (const RunLengthSamples *p : parts)
+        for (const Run &r : p->runs())
+            if (const int k = slot[bucket(r.value)]; k >= 0)
+                picked[static_cast<std::size_t>(k)].runs.push_back(r);
+
+    double *const out[] = {&s.p50, &s.p95, &s.p99};
+    for (int k = 0; k < 3; ++k) {
+        double v[2];
+        for (int j = 0; j < 2; ++j) {
+            Picked &b = picked[static_cast<std::size_t>(rank_slot[2 * k + j])];
+            v[j] = selectValue(b.runs.data(), b.runs.data() + b.runs.size(),
+                               ranks[2 * k + j] - b.base);
+        }
+        *out[k] = Type7Rank(ps[k], n).interpolate(v[0], v[1]);
+    }
+    return s;
 }
 
 SampleSummary
 summarize(const RunLengthSamples &samples)
 {
-    SampleSummary s;
-    if (samples.empty())
-        return s;
-    OnlineStats st;
-    for (const Run &r : samples.runs())
-        st.add(r.value, r.count);
-    s.count = st.count();
-    s.mean = st.mean();
-    s.stddev = st.stddev();
-    s.min = st.min();
-    s.max = st.max();
-    if (s.count == 1) {
-        s.p50 = s.p95 = s.p99 = s.min;
-        return s;
-    }
-    // The percentile walk of percentiles(), over weighted runs: each
-    // rank is selected over the suffix past the previous one, and the
-    // interpolation partner one rank up, when it lies in a later run,
-    // is the smallest value left in that suffix.
-    std::vector<Run> runs = samples.runs();
-    Run *const end = runs.data() + runs.size();
-    Run *cur = nullptr;
-    std::uint64_t base = 0; // sorted index of cur's first sample
-    double *const out[] = {&s.p50, &s.p95, &s.p99};
-    const double ps[] = {50.0, 95.0, 99.0};
-    for (int k = 0; k < 3; ++k) {
-        const Type7Rank r(ps[k], s.count);
-        if (!cur || r.lo >= base + cur->count) {
-            Run *const from = cur ? cur + 1 : runs.data();
-            if (cur)
-                base += cur->count;
-            cur = selectRun(from, end, base, r.lo);
-        }
-        const double v_hi =
-            r.hi >= base + cur->count
-                ? std::min_element(cur + 1, end, byValue)->value
-                : cur->value;
-        *out[k] = r.interpolate(cur->value, v_hi);
-    }
-    return s;
+    const RunLengthSamples *const part = &samples;
+    return summarize({&part, 1});
 }
 
 double

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace cllm {
@@ -30,9 +31,6 @@ class OnlineStats
      * operation reduces exactly to the single-sample update.
      */
     void add(double x, std::uint64_t n);
-
-    /** Merge another accumulator into this one (Chan et al.). */
-    void merge(const OnlineStats &other);
 
     /** Number of samples seen so far. */
     std::size_t count() const { return n_; }
@@ -64,29 +62,18 @@ class OnlineStats
 };
 
 /**
- * Percentile of a sample set via linear interpolation between closest
- * ranks (the "linear" / type-7 method). p in [0, 100]; out-of-range p
- * panics. Edge cases are well-defined: an empty sample set yields 0
- * (matching OnlineStats and SampleSummary), a single sample is every
- * percentile of itself, and p = 0 / p = 100 are exactly min / max.
- */
-double percentile(std::vector<double> samples, double p);
-
-/**
- * Several percentiles of one sample set in a single pass: the samples
- * are copied once and partially ordered with nth_element per distinct
- * rank (ascending, over an ever-shrinking suffix) instead of fully
- * sorted once per percentile. Bit-identical to calling percentile()
- * for each entry of `ps` — same type-7 interpolation, same edge
- * cases — just cheaper: O(n · |ps|) worst case instead of
- * O(n log n · |ps|). Returns one value per entry of `ps`, in the
- * caller's order (which need not be sorted).
+ * Percentiles of a sample set via linear interpolation between closest
+ * ranks (the "linear" / type-7 method), one value per entry of `ps`
+ * in the caller's order (which need not be sorted). Each p is in
+ * [0, 100]; out-of-range p panics. Edge cases are well-defined: an
+ * empty sample set yields 0 (matching OnlineStats and SampleSummary),
+ * a single sample is every percentile of itself, and p = 0 / p = 100
+ * are exactly min / max. The samples are partially ordered with
+ * nth_element per distinct rank (ascending, over an ever-shrinking
+ * suffix) instead of fully sorted: O(n · |ps|) worst case.
  */
 std::vector<double> percentiles(std::vector<double> samples,
                                 const std::vector<double> &ps);
-
-/** Median (50th percentile); 0 when empty. */
-double median(std::vector<double> samples);
 
 /**
  * Drop samples whose Z-score exceeds `z_max`, as the paper does for
@@ -149,9 +136,6 @@ class RunLengthSamples
             runs_.push_back({x, n});
     }
 
-    /** Append every sample of `other`, in its order. */
-    void append(const RunLengthSamples &other);
-
     /** Number of samples (not runs). */
     std::size_t size() const { return size_; }
 
@@ -165,14 +149,28 @@ class RunLengthSamples
 };
 
 /**
- * Summarize a run-length multiset without expanding it (no Z filter).
- * min/max/count/p50/p95/p99 are bit-identical to summarize() of the
- * expanded samples with z_max = 0: a weighted quickselect over a copy
- * of the runs (expected linear time in the run count) finds the same
- * two order statistics percentiles() interpolates, with the same
- * type-7 weight. Mean and stddev add one run at a time, so they may
- * differ from the per-sample Welford pass in the last bits.
+ * Summarize the union of run-length multisets without expanding or
+ * copying them (no Z filter); `parts` order fixes the summation order,
+ * so a fixed order gives a deterministic summary. min/max/count/p50/
+ * p95/p99 are bit-identical to summarize() of the concatenated
+ * expansion with z_max = 0. Three streaming passes over the runs:
+ *
+ *  1. min, max, the count, and the weighted sum of x − x0, where x0 is
+ *     the first sample, so a single-valued input has mean x0 exactly;
+ *  2. the weighted squared deviations from that mean (corrected for
+ *     the mean's own rounding), and a weight histogram over 4096
+ *     buckets monotone in value (an order-preserving integer image of
+ *     the double, so no span of values overflows or underflows it);
+ *  3. a gather of the runs in the buckets that hold the type-7 ranks
+ *     of p50/p95/p99 and their +1 partners, inside which a weighted
+ *     quickselect finds each order statistic.
+ *
+ * Mean and stddev differ from the per-sample Welford pass of
+ * summarize() only in the last bits. Panics on a non-finite sample.
  */
+SampleSummary summarize(std::span<const RunLengthSamples *const> parts);
+
+/** summarize() of one run-length multiset. */
 SampleSummary summarize(const RunLengthSamples &samples);
 
 /** Relative overhead of `value` versus `baseline`, as a fraction. */

@@ -27,6 +27,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "par/pool.hh"
+#include "prefix_victim_ref.hh"
 #include "util/json.hh"
 
 using namespace cllm;
@@ -664,6 +665,19 @@ TEST(FleetRollup, ItlPoolsEveryNodesSamplesInNodeIdOrder)
     EXPECT_EQ(m.itl.max, want.max);
     EXPECT_NEAR(m.itl.mean, want.mean, 1e-12 * want.mean);
     EXPECT_NEAR(m.itl.stddev, want.stddev, 1e-12 * want.stddev);
+}
+
+// The churn golden's workload evicts under both pool pressure and the
+// pinned-block budget on nodes that come and go; each eviction must be
+// the one the full tree scan picks (tests/prefix_victim_ref.hh).
+TEST(PrefixEvictorOracle, ChurnWorkloadMatchesTreeScan)
+{
+    serve::PrefixCacheTestPeer oracle;
+    FleetSimulator sim(churnFleetConfig(), churnTemplates());
+    const FleetMetrics m = sim.run(churnTrace());
+    EXPECT_GT(m.prefixEvictions, 0u);
+    EXPECT_EQ(oracle.victims, m.prefixEvictions);
+    EXPECT_EQ(oracle.mismatches, 0u);
 }
 
 TEST(FleetGolden, MixedFleetMatchesGolden)

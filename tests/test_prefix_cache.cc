@@ -24,12 +24,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "golden_util.hh"
 #include "mem/kv_paged.hh"
+#include "prefix_victim_ref.hh"
 #include "serve/engine.hh"
 #include "serve/prefix_cache.hh"
 #include "serve/serving.hh"
@@ -511,6 +513,101 @@ TEST(PrefixCacheTree, BlockMatchAgreesWithTokenByTokenReference)
         EXPECT_EQ(cache.stats().hits, hits);
         EXPECT_EQ(cache.stats().misses, misses);
     }
+}
+
+// Every eviction the ordered evictor makes, under pool pressure and
+// under the pinned-block budget, is the one the full tree scan picks
+// (tests/prefix_victim_ref.hh). Prompts come from a few shared
+// families, so inserts split nodes and leaves gain and lose children;
+// clocks repeat, so LRU stamps tie and the creation id decides.
+TEST(PrefixEvictorOracle, RandomizedGridMatchesTreeScan)
+{
+    PrefixCacheTestPeer oracle;
+    std::uint64_t evictions = 0;
+    for (PrefixMode mode : {PrefixMode::PerTenant, PrefixMode::Global})
+        for (std::uint64_t budget : {0u, 10u, 40u})
+            for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+                SCOPED_TRACE(::testing::Message()
+                             << "mode " << static_cast<int>(mode)
+                             << " budget " << budget << " seed " << seed);
+                std::mt19937_64 rng(seed * 7919 + budget);
+                const auto pick = [&rng](std::uint64_t n) {
+                    return static_cast<std::uint64_t>(rng() % n);
+                };
+                mem::PagedKvCache kv({96, 4});
+                PrefixCache cache(mode, &kv, budget);
+                std::vector<std::pair<std::uint32_t,
+                                      std::vector<std::int32_t>>>
+                    seen;
+                std::vector<mem::KvSeqId> live;
+                mem::KvSeqId next = 1;
+                for (int op = 0; op < 500; ++op) {
+                    const double now = static_cast<double>(op / 4);
+                    const std::uint64_t what = pick(10);
+                    if (what < 5) {
+                        // Admit: a family prefix of 0-5 blocks, then
+                        // fresh tokens.
+                        const auto tenant =
+                            static_cast<std::uint32_t>(pick(3));
+                        const auto family =
+                            static_cast<std::int32_t>(pick(4));
+                        std::vector<std::int32_t> tokens;
+                        const std::uint64_t head = 4 * pick(6);
+                        for (std::uint64_t i = 0; i < head; ++i)
+                            tokens.push_back(family * 1000 +
+                                             static_cast<std::int32_t>(i));
+                        const std::uint64_t tail = 1 + pick(14);
+                        for (std::uint64_t i = 0; i < tail; ++i)
+                            tokens.push_back(
+                                100000 + static_cast<std::int32_t>(pick(3)));
+                        const auto len =
+                            static_cast<unsigned>(tokens.size());
+                        // One admission in three ignores the cache,
+                        // like a request admitted before an identical
+                        // one inserted: its insert then descends into
+                        // nodes whose blocks it does not hold.
+                        const bool use_cache = pick(3) != 0;
+                        const auto admit = [&] {
+                            const PrefixMatch m =
+                                use_cache ? cache.peek(tenant, tokens)
+                                          : PrefixMatch{};
+                            return kv.addSequenceWithPrefix(
+                                next, len, m.blocks, m.tokens);
+                        };
+                        if (!admit()) {
+                            cache.evictToFree(kv.blocksFor(len), now);
+                            if (!admit())
+                                continue;
+                        }
+                        if (use_cache)
+                            cache.commitMatch(tenant, tokens, now);
+                        cache.insert(tenant, tokens, kv.blockTable(next),
+                                     now);
+                        live.push_back(next++);
+                        seen.emplace_back(tenant, tokens);
+                    } else if (what < 8 && !live.empty()) {
+                        const std::size_t i = pick(live.size());
+                        kv.release(live[i]);
+                        live.erase(live.begin() +
+                                   static_cast<std::ptrdiff_t>(i));
+                    } else if (what < 9 && !seen.empty()) {
+                        const auto &[tenant, tokens] = seen[pick(seen.size())];
+                        cache.commitMatch(tenant, tokens, now);
+                    } else {
+                        cache.evictToFree(1 + pick(8), now);
+                    }
+                    ASSERT_TRUE(cache.consistent()) << "op " << op;
+                    ASSERT_TRUE(kv.consistent()) << "op " << op;
+                }
+                evictions += cache.stats().evictions;
+            }
+    EXPECT_EQ(oracle.mismatches, 0u);
+    EXPECT_EQ(oracle.victims, evictions);
+    // Both callers, answers where the insert's own node was the LRU
+    // candidate, and answers with nothing evictable were covered.
+    EXPECT_GT(oracle.excluding, 0u);
+    EXPECT_GT(oracle.calls, oracle.victims);
+    EXPECT_GT(evictions, 500u);
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/stats.hh"
@@ -50,88 +51,59 @@ TEST(OnlineStats, MatchesClosedForm)
     EXPECT_NEAR(s.sum(), 40.0, 1e-12);
 }
 
-TEST(OnlineStats, MergeEqualsCombined)
-{
-    OnlineStats a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        const double x = std::sin(i) * 10.0;
-        (i % 2 ? a : b).add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_EQ(a.min(), all.min());
-    EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty)
-{
-    OnlineStats a, b;
-    a.add(1.0);
-    a.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_EQ(b.mean(), 2.0);
-}
-
 TEST(Percentile, MedianOfOddSet)
 {
-    EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
+    EXPECT_DOUBLE_EQ(percentiles({3.0, 1.0, 2.0}, {50.0})[0], 2.0);
 }
 
 TEST(Percentile, InterpolatesBetweenRanks)
 {
     // p50 of {1,2,3,4} = 2.5 under the linear method.
-    EXPECT_DOUBLE_EQ(percentile({1.0, 2.0, 3.0, 4.0}, 50.0), 2.5);
+    EXPECT_DOUBLE_EQ(percentiles({1.0, 2.0, 3.0, 4.0}, {50.0})[0], 2.5);
 }
 
 TEST(Percentile, Extremes)
 {
     const std::vector<double> v = {5.0, 1.0, 9.0};
-    EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 100.0), 9.0);
+    EXPECT_DOUBLE_EQ(percentiles(v, {0.0})[0], 1.0);
+    EXPECT_DOUBLE_EQ(percentiles(v, {100.0})[0], 9.0);
 }
 
 TEST(Percentile, SingleSample)
 {
     // A single sample is every percentile of itself.
-    EXPECT_DOUBLE_EQ(percentile({7.0}, 95.0), 7.0);
-    EXPECT_DOUBLE_EQ(percentile({7.0}, 0.0), 7.0);
-    EXPECT_DOUBLE_EQ(percentile({7.0}, 100.0), 7.0);
+    EXPECT_DOUBLE_EQ(percentiles({7.0}, {95.0})[0], 7.0);
+    EXPECT_DOUBLE_EQ(percentiles({7.0}, {0.0})[0], 7.0);
+    EXPECT_DOUBLE_EQ(percentiles({7.0}, {100.0})[0], 7.0);
 }
 
 TEST(Percentile, EmptyIsZero)
 {
     // Empty sample sets are well-defined (0), matching OnlineStats
     // and SampleSummary — obs::Histogram::summary leans on this.
-    EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
-    EXPECT_DOUBLE_EQ(percentile({}, 0.0), 0.0);
-    EXPECT_DOUBLE_EQ(percentile({}, 100.0), 0.0);
-    EXPECT_DOUBLE_EQ(median({}), 0.0);
+    EXPECT_DOUBLE_EQ(percentiles({}, {50.0})[0], 0.0);
+    EXPECT_DOUBLE_EQ(percentiles({}, {0.0})[0], 0.0);
+    EXPECT_DOUBLE_EQ(percentiles({}, {100.0})[0], 0.0);
 }
 
 TEST(Percentile, ExtremesAreExactMinMax)
 {
     // p0/p100 never interpolate, whatever the sample count.
     const std::vector<double> v = {4.0, 8.0, 15.0, 16.0, 23.0, 42.0};
-    EXPECT_DOUBLE_EQ(percentile(v, 0.0), 4.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 100.0), 42.0);
+    EXPECT_DOUBLE_EQ(percentiles(v, {0.0})[0], 4.0);
+    EXPECT_DOUBLE_EQ(percentiles(v, {100.0})[0], 42.0);
 }
 
 TEST(PercentileDeath, OutOfRangePanics)
 {
-    EXPECT_DEATH(percentile({1.0}, 101.0), "out of range");
-    EXPECT_DEATH(percentile({}, -1.0), "out of range");
+    EXPECT_DEATH(percentiles({1.0}, {101.0}), "out of range");
+    EXPECT_DEATH(percentiles({}, {-1.0}), "out of range");
 }
 
 TEST(Percentiles, BitIdenticalToRepeatedSingleCalls)
 {
-    // The multi-percentile helper promises bit-identity with the
-    // one-at-a-time path on an arbitrary sample set — including
+    // Asking for several percentiles at once is bit-identical to
+    // asking for each alone on an arbitrary sample set — including
     // interpolated ranks, duplicates, and unsorted query order.
     std::vector<double> samples;
     std::uint64_t x = 88172645463325252ULL; // xorshift64
@@ -149,7 +121,7 @@ TEST(Percentiles, BitIdenticalToRepeatedSingleCalls)
     const std::vector<double> got = percentiles(samples, ps);
     ASSERT_EQ(got.size(), ps.size());
     for (std::size_t i = 0; i < ps.size(); ++i)
-        EXPECT_EQ(got[i], percentile(samples, ps[i]))
+        EXPECT_EQ(got[i], percentiles(samples, {ps[i]})[0])
             << "p" << ps[i];
 }
 
@@ -353,36 +325,6 @@ TEST(RunLengthSamples, PushExtendsOnlyTheLastRun)
     EXPECT_EQ(expand(rl), (std::vector<double>{1, 1, 1, 2, 1}));
 }
 
-TEST(RunLengthSamples, AppendingSplitHalvesEqualsUnsplit)
-{
-    std::vector<std::pair<double, std::uint64_t>> pushes;
-    std::uint64_t x = 99;
-    for (int i = 0; i < 400; ++i)
-        pushes.push_back({static_cast<double>(nextRand(x) % 3),
-                          nextRand(x) % 4});
-    RunLengthSamples whole;
-    for (const auto &[v, n] : pushes)
-        whole.push(v, n);
-    for (std::size_t cut : {0u, 1u, 137u, 399u, 400u}) {
-        RunLengthSamples head, tail;
-        for (std::size_t i = 0; i < pushes.size(); ++i)
-            (i < cut ? head : tail).push(pushes[i].first,
-                                         pushes[i].second);
-        head.append(tail);
-        EXPECT_EQ(head.size(), whole.size()) << cut;
-        ASSERT_EQ(head.runs().size(), whole.runs().size()) << cut;
-        for (std::size_t i = 0; i < whole.runs().size(); ++i) {
-            EXPECT_EQ(head.runs()[i].value, whole.runs()[i].value);
-            EXPECT_EQ(head.runs()[i].count, whole.runs()[i].count);
-        }
-    }
-    RunLengthSamples twice = whole;
-    twice.append(twice);
-    std::vector<double> want = expand(whole);
-    want.insert(want.end(), want.begin(), want.begin() + whole.size());
-    EXPECT_EQ(expand(twice), want);
-}
-
 TEST(RunLengthSummary, BitIdenticalToExpandedSummary)
 {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
@@ -452,6 +394,289 @@ TEST(RunLengthSummary, EdgeCases)
         whole_rank.push(2.5);
     ASSERT_EQ(whole_rank.size(), 101u);
     check(whole_rank);
+}
+
+namespace {
+
+/** The expansion of several multisets, concatenated in order. */
+std::vector<double>
+expandAll(const std::vector<RunLengthSamples> &parts)
+{
+    std::vector<double> out;
+    for (const RunLengthSamples &p : parts) {
+        const std::vector<double> e = expand(p);
+        out.insert(out.end(), e.begin(), e.end());
+    }
+    return out;
+}
+
+SampleSummary
+summarizeParts(const std::vector<RunLengthSamples> &parts)
+{
+    std::vector<const RunLengthSamples *> ptrs;
+    for (const RunLengthSamples &p : parts)
+        ptrs.push_back(&p);
+    return summarize(ptrs);
+}
+
+/** Count, p50/p95/p99, min and max, bit for bit. */
+void
+expectSameOrderStats(const SampleSummary &got, const SampleSummary &want)
+{
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.p50, want.p50);
+    EXPECT_EQ(got.p95, want.p95);
+    EXPECT_EQ(got.p99, want.p99);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+}
+
+/** A value drawn by one of a few shapes, chosen per multiset. */
+double
+drawValue(std::uint64_t &x, int shape)
+{
+    switch (shape) {
+    case 0: // serving-like: a small pool of gaps, some split by emit
+        return (0.01 + static_cast<double>(nextRand(x) % 37) / 613.0) /
+               static_cast<double>(1 + nextRand(x) % 5);
+    case 1: // nearly all distinct, both signs; the mean stays well
+            // away from 0 (centred on 0, the oracle's own mean was
+            // off by 6.7e-12 relative to quad precision)
+        return (static_cast<double>(nextRand(x) % 2000001) - 4e5) / 3.0;
+    case 2: // heavy ties around zero, including -0.0
+        return nextRand(x) % 5 == 0
+                   ? -0.0
+                   : static_cast<double>(nextRand(x) % 7) - 3.0;
+    default: // a long tail: exponents spread over many binades
+        return std::ldexp(1.0 + static_cast<double>(nextRand(x) % 1024),
+                          static_cast<int>(nextRand(x) % 60) - 40);
+    }
+}
+
+} // namespace
+
+TEST(RunLengthOracle, MultiSourceMatchesConcatenatedExpansion)
+{
+    // Random splits of random multisets into 1-6 parts, some empty:
+    // the summary of the parts equals the summary of the expanded
+    // concatenation.
+    std::uint64_t x = 31337;
+    for (int trial = 0; trial < 600; ++trial) {
+        const int shape = trial % 4;
+        std::vector<RunLengthSamples> parts(1 + nextRand(x) % 6);
+        for (RunLengthSamples &p : parts) {
+            if (nextRand(x) % 5 == 0)
+                continue;
+            const int runs = 1 + static_cast<int>(nextRand(x) % 300);
+            for (int i = 0; i < runs; ++i)
+                p.push(drawValue(x, shape), 1 + nextRand(x) % 30);
+        }
+        SCOPED_TRACE(trial);
+        const std::vector<double> all = expandAll(parts);
+        if (all.empty()) {
+            expectSameSummary(summarizeParts(parts), SampleSummary{});
+            continue;
+        }
+        expectSameSummary(summarizeParts(parts), summarize(all, 0.0));
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+TEST(RunLengthOracle, SingleValueHasExactMeanAndZeroStddev)
+{
+    for (double v : {0.1, -7.25, 1e300, 5e-324, -0.0}) {
+        RunLengthSamples a, b;
+        a.push(v, 3);
+        b.push(v, 1ULL << 40);
+        const SampleSummary s = summarizeParts({a, RunLengthSamples{}, b});
+        EXPECT_EQ(s.mean, v);
+        EXPECT_EQ(s.stddev, 0.0);
+        EXPECT_EQ(s.p50, v);
+        EXPECT_EQ(s.p99, v);
+        EXPECT_EQ(s.count, 3 + (1ULL << 40));
+    }
+}
+
+TEST(RunLengthOracle, AdversarialInputs)
+{
+    struct Case
+    {
+        const char *name;
+        std::vector<RunLengthSamples> parts;
+        // Moments are compared where a double can carry them to 12
+        // digits: not when the spread overflows (the oracle's own
+        // Welford deltas are infinite) or the deviations are
+        // subnormal (a few bits of precision).
+        bool moments = true;
+    };
+    std::vector<Case> cases;
+    std::uint64_t x = 4242;
+
+    {
+        Case c{"negative, signed zeros and equal runs", {}};
+        for (int k = 0; k < 3; ++k) {
+            RunLengthSamples p;
+            for (int i = 0; i < 200; ++i) {
+                const std::uint64_t r = nextRand(x) % 6;
+                p.push(r == 0   ? -0.0
+                       : r == 1 ? 0.0
+                       : r == 2 ? -2.5
+                                : -static_cast<double>(r) * 1e-3,
+                       1 + nextRand(x) % 9);
+            }
+            c.parts.push_back(p);
+        }
+        cases.push_back(c);
+    }
+    {
+        // The minimum compares equal to a sample of the other sign:
+        // both zeros must land in the lowest bucket.
+        Case c{"signed zeros as the minimum", {}};
+        RunLengthSamples p;
+        p.push(0.0, 3);
+        p.push(-0.0, 5);
+        p.push(1.0, 2);
+        p.push(-0.0);
+        p.push(0.5, 4);
+        c.parts.push_back(p);
+        cases.push_back(c);
+    }
+    {
+        Case c{"all samples equal across parts", {}};
+        for (int k = 0; k < 4; ++k) {
+            RunLengthSamples p;
+            p.push(0.3, 1 + nextRand(x) % 1000);
+            p.push(0.3, 7);
+            c.parts.push_back(p);
+        }
+        cases.push_back(c);
+    }
+    {
+        // Most of the weight inside a few thousand ulps, between a far
+        // smaller minimum and a far larger maximum: one histogram
+        // bucket holds nearly everything.
+        Case c{"one dense bucket", {}};
+        RunLengthSamples p;
+        p.push(0.5);
+        for (int i = 0; i < 3000; ++i) {
+            double v = 1.0;
+            for (std::uint64_t k = nextRand(x) % 3000; k > 0; --k)
+                v = std::nextafter(v, 2.0);
+            p.push(v, 1 + nextRand(x) % 50);
+        }
+        p.push(2.0);
+        c.parts.push_back(p);
+        cases.push_back(c);
+    }
+    {
+        Case c{"max far above p99", {}};
+        RunLengthSamples p;
+        for (int i = 0; i < 2000; ++i)
+            p.push(0.01 + static_cast<double>(nextRand(x) % 997) * 1e-5,
+                   1 + nextRand(x) % 5);
+        p.push(1e300);
+        c.parts.push_back(p);
+        cases.push_back(c);
+    }
+    {
+        Case c{"max - min overflows", {}, false};
+        RunLengthSamples p;
+        p.push(-1.5e308, 3);
+        for (int i = 0; i < 300; ++i)
+            p.push(drawValue(x, 1), 1 + nextRand(x) % 4);
+        p.push(1.7e308, 2);
+        p.push(-std::numeric_limits<double>::max());
+        p.push(std::numeric_limits<double>::max(), 5);
+        c.parts.push_back(p);
+        cases.push_back(c);
+    }
+    {
+        // Normal values whose differences are subnormal: DBL_MIN and
+        // the next few doubles above it.
+        Case c{"subnormal spread of normal values", {}, false};
+        RunLengthSamples p;
+        for (int i = 0; i < 400; ++i) {
+            double v = std::numeric_limits<double>::min();
+            for (std::uint64_t k = nextRand(x) % 5; k > 0; --k)
+                v = std::nextafter(v, 1.0);
+            p.push(v, 1 + nextRand(x) % 6);
+        }
+        c.parts.push_back(p);
+        cases.push_back(c);
+    }
+    {
+        Case c{"subnormal values of both signs", {}, false};
+        RunLengthSamples p;
+        const double tiny = std::numeric_limits<double>::denorm_min();
+        for (int i = 0; i < 400; ++i)
+            p.push(tiny * (static_cast<double>(nextRand(x) % 9) - 4.0),
+                   1 + nextRand(x) % 6);
+        c.parts.push_back(p);
+        cases.push_back(c);
+    }
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const SampleSummary got = summarizeParts(c.parts);
+        const SampleSummary want = summarize(expandAll(c.parts), 0.0);
+        if (c.moments)
+            expectSameSummary(got, want);
+        else
+            expectSameOrderStats(got, want);
+    }
+}
+
+TEST(RunLengthOracle, ValuesOneUlpApart)
+{
+    // base + k ulps, k in 0..3. Order statistics match the oracle;
+    // the moments are checked against their closed form from integer
+    // sums, because the oracle's per-sample Welford pass rounds its
+    // running mean to the same few doubles and misses the stddev by
+    // up to ~70% here (checked against quad precision).
+    std::uint64_t x = 4242;
+    const double base = 0.0123;
+    const double ulp = std::nextafter(base, 1.0) - base;
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<RunLengthSamples> parts(1 + trial % 3);
+        std::uint64_t n = 0, sum_k = 0, sum_k2 = 0;
+        for (int i = 0; i < 500; ++i) {
+            const std::uint64_t k = nextRand(x) % 4;
+            const std::uint64_t w = 1 + nextRand(x) % 40;
+            double v = base;
+            for (std::uint64_t j = 0; j < k; ++j)
+                v = std::nextafter(v, 1.0);
+            parts[static_cast<std::size_t>(i) % parts.size()].push(v, w);
+            n += w;
+            sum_k += w * k;
+            sum_k2 += w * k * k;
+        }
+        SCOPED_TRACE(trial);
+        const SampleSummary got = summarizeParts(parts);
+        expectSameOrderStats(got, summarize(expandAll(parts), 0.0));
+        const double nd = static_cast<double>(n);
+        const double mean = base + ulp * static_cast<double>(sum_k) / nd;
+        // n·Σk² − (Σk)² is exact in 64 bits at these sizes.
+        const double m2n = static_cast<double>(n * sum_k2 - sum_k * sum_k);
+        const double stddev = ulp * std::sqrt(m2n / nd / (nd - 1.0));
+        EXPECT_NEAR(got.mean, mean, 1e-12 * mean);
+        EXPECT_NEAR(got.stddev, stddev, 1e-12 * stddev);
+    }
+}
+
+TEST(RunLengthSummaryDeath, NonFiniteSamplePanics)
+{
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+        RunLengthSamples ok, poisoned;
+        ok.push(0.25, 4);
+        poisoned.push(0.5);
+        poisoned.push(bad, 2);
+        poisoned.push(0.75);
+        EXPECT_DEATH(summarizeParts({ok, poisoned}), "non-finite");
+        EXPECT_DEATH(summarize(poisoned), "non-finite");
+    }
 }
 
 TEST(Overhead, BasicMath)
