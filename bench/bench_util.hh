@@ -76,8 +76,8 @@ obsFlags(ObsOptions &opt)
                  opt.tracePath = v;
          }},
         {"--metrics-out", "path",
-         "write the metrics-registry snapshot (counters, gauges, "
-         "histograms) as JSON to path",
+         "write the metrics-registry snapshot (counters and gauges) "
+         "as JSON to path",
          [&opt](const char *v) { opt.metricsOut = v; }},
     };
 }

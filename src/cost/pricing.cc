@@ -23,12 +23,6 @@ cgpuH100()
     return {"cGPU H100 (NCCads_H100_v5)", 10.50};
 }
 
-GpuPricing
-gpuH100()
-{
-    return {"GPU H100 (NCads_H100_v5)", 9.60};
-}
-
 double
 cpuInstanceHr(const CpuPricing &p, unsigned vcpus, double mem_gb)
 {

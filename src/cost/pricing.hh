@@ -37,9 +37,6 @@ CpuPricing gcpSpotSprUsEast1();
 /** Confidential H100 instance (Azure NCCads_H100_v5-class). */
 GpuPricing cgpuH100();
 
-/** Non-confidential H100 instance (Azure NCads_H100_v5-class). */
-GpuPricing gpuH100();
-
 /** Hourly price of a CPU slice: vCPUs + fixed memory. */
 double cpuInstanceHr(const CpuPricing &p, unsigned vcpus,
                      double mem_gb);

@@ -35,9 +35,6 @@ class Aes128
     /** Encrypt one 16-byte block in place. */
     void encryptBlock(AesBlock &block) const;
 
-    /** Decrypt one 16-byte block in place. */
-    void decryptBlock(AesBlock &block) const;
-
   private:
     // 11 round keys of 16 bytes each.
     std::uint8_t roundKeys_[176];

@@ -34,13 +34,6 @@ hmacSha256(const std::vector<std::uint8_t> &key, const void *data,
 }
 
 Digest256
-hmacSha256(const std::string &key, const std::string &data)
-{
-    std::vector<std::uint8_t> k(key.begin(), key.end());
-    return hmacSha256(k, data.data(), data.size());
-}
-
-Digest256
 deriveKey(const Digest256 &master, const std::string &label)
 {
     std::vector<std::uint8_t> key(master.begin(), master.end());

@@ -22,9 +22,6 @@ namespace cllm::crypto {
 Digest256 hmacSha256(const std::vector<std::uint8_t> &key,
                      const void *data, std::size_t len);
 
-/** HMAC-SHA256 with string inputs. */
-Digest256 hmacSha256(const std::string &key, const std::string &data);
-
 /**
  * Derive a named 256-bit key from a master secret and a context label
  * (single-step HKDF-Expand with SHA-256).

@@ -113,12 +113,6 @@ Sha256::update(const void *data, std::size_t len)
 }
 
 void
-Sha256::update(const std::vector<std::uint8_t> &data)
-{
-    update(data.data(), data.size());
-}
-
-void
 Sha256::update(const std::string &data)
 {
     update(data.data(), data.size());
@@ -166,19 +160,6 @@ Digest256
 sha256(const std::string &data)
 {
     return sha256(data.data(), data.size());
-}
-
-std::string
-toHex(const Digest256 &digest)
-{
-    static const char *hex = "0123456789abcdef";
-    std::string out;
-    out.reserve(64);
-    for (std::uint8_t b : digest) {
-        out += hex[b >> 4];
-        out += hex[b & 0xf];
-    }
-    return out;
 }
 
 } // namespace cllm::crypto

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstddef>
 #include <string>
-#include <vector>
 
 namespace cllm::crypto {
 
@@ -37,9 +36,6 @@ class Sha256
     /** Absorb `len` bytes. */
     void update(const void *data, std::size_t len);
 
-    /** Absorb a byte vector. */
-    void update(const std::vector<std::uint8_t> &data);
-
     /** Absorb a string's bytes. */
     void update(const std::string &data);
 
@@ -61,9 +57,6 @@ Digest256 sha256(const void *data, std::size_t len);
 
 /** One-shot SHA-256 of a string. */
 Digest256 sha256(const std::string &data);
-
-/** Hex encoding of a digest (lowercase). */
-std::string toHex(const Digest256 &digest);
 
 } // namespace cllm::crypto
 

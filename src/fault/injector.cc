@@ -145,17 +145,6 @@ FaultInjector::nextWindowEnd(double t) const
     return end;
 }
 
-std::size_t
-FaultInjector::firedCount() const
-{
-    std::size_t n = 0;
-    for (const FaultRecord &r : records_) {
-        if (r.applied >= 0.0)
-            ++n;
-    }
-    return n;
-}
-
 void
 writeTimeline(JsonWriter &json,
               const std::vector<FaultRecord> &timeline)

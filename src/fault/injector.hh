@@ -104,9 +104,6 @@ class FaultInjector
         return records_;
     }
 
-    /** Count of events that actually fired. */
-    std::size_t firedCount() const;
-
   private:
     void touch(FaultRecord &r, double t, unsigned impact);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "mem/epc.hh"
-#include "util/config.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -87,35 +86,6 @@ FaultSchedule::generate(const FaultScheduleConfig &cfg)
     drawProcess(sched, r3, FaultKind::KvExhaustion, cfg.kvExhaustion,
                 cfg.horizon);
     return sched;
-}
-
-FaultScheduleConfig
-FaultSchedule::configFrom(const Config &cfg)
-{
-    FaultScheduleConfig out;
-    out.seed = static_cast<std::uint64_t>(
-        cfg.getInt("fault", "seed", static_cast<long>(out.seed)));
-    out.horizon = cfg.getDouble("fault", "horizon", out.horizon);
-    struct Binding
-    {
-        const char *prefix;
-        FaultProcess *proc;
-    };
-    const Binding bindings[] = {
-        {"attest", &out.attestFail},
-        {"restart", &out.enclaveRestart},
-        {"epc_storm", &out.epcStorm},
-        {"kv_exhaustion", &out.kvExhaustion},
-    };
-    for (const Binding &b : bindings) {
-        const std::string p(b.prefix);
-        b.proc->rate = cfg.getDouble("fault", p + "_rate", 0.0);
-        b.proc->meanDuration =
-            cfg.getDouble("fault", p + "_duration", 0.0);
-        b.proc->magnitude =
-            cfg.getDouble("fault", p + "_magnitude", 0.0);
-    }
-    return out;
 }
 
 void

@@ -80,14 +80,6 @@ class FaultSchedule
     /** Draw a reproducible schedule from the config's seed. */
     static FaultSchedule generate(const FaultScheduleConfig &cfg);
 
-    /**
-     * Read a schedule config from a `[fault]` section: `seed`,
-     * `horizon`, and `<kind>_rate` / `<kind>_duration` /
-     * `<kind>_magnitude` keys with kind in {attest, restart,
-     * epc_storm, kv_exhaustion}.
-     */
-    static FaultScheduleConfig configFrom(const Config &cfg);
-
     /** Insert one event, keeping time order. */
     void add(const FaultEvent &e);
 

@@ -6,26 +6,6 @@
 
 namespace cllm::fleet {
 
-const char *
-routerPolicyName(RouterPolicy p)
-{
-    switch (p) {
-      case RouterPolicy::Null:
-        return "null";
-      case RouterPolicy::RoundRobin:
-        return "round-robin";
-      case RouterPolicy::LeastOutstanding:
-        return "least-outstanding";
-      case RouterPolicy::KvHeadroom:
-        return "kv-headroom";
-      case RouterPolicy::CostAware:
-        return "cost-aware";
-      case RouterPolicy::PrefixAffinity:
-        return "prefix-affinity";
-    }
-    return "?";
-}
-
 Router::Router(RouterPolicy policy, double ttft_slo)
     : policy_(policy), ttftSlo_(ttft_slo)
 {

@@ -36,9 +36,6 @@ enum class RouterPolicy
                       //!< materially busier than the alternative
 };
 
-/** Printable policy name. */
-const char *routerPolicyName(RouterPolicy p);
-
 /**
  * Stateful dispatcher. All decisions are deterministic functions of
  * the policy, the node states, and (for round-robin) the dispatch

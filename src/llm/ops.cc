@@ -232,11 +232,4 @@ StepTotalsTable::at(double pos, double nseq) const
     return t;
 }
 
-StepTotals
-stepTotals(const ModelConfig &m, hw::Dtype dtype, double pos,
-           double nseq)
-{
-    return StepTotalsTable(m, dtype).at(pos, nseq);
-}
-
 } // namespace cllm::llm

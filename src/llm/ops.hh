@@ -186,11 +186,6 @@ class StepTotalsTable
     unsigned opCount_ = 0;
 };
 
-/** One step's totals from a fresh table; a pricing kernel keeps its
- *  StepTotalsTable instead of rebuilding it per call. */
-StepTotals stepTotals(const ModelConfig &m, hw::Dtype dtype, double pos,
-                      double nseq = 1.0);
-
 } // namespace cllm::llm
 
 #endif // CLLM_LLM_OPS_HH

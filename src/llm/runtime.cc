@@ -565,93 +565,4 @@ TinyLlama::generateGreedy(const std::vector<TokenId> &prompt,
     return out;
 }
 
-std::vector<Hypothesis>
-TinyLlama::generateBeam(const std::vector<TokenId> &prompt,
-                        unsigned steps, unsigned beams) const
-{
-    if (prompt.empty())
-        cllm_fatal("generateBeam: empty prompt");
-    if (beams == 0)
-        cllm_fatal("generateBeam: zero beams");
-
-    struct Beam
-    {
-        KvCache cache;
-        std::vector<TokenId> tokens;
-        double logProb;
-        std::vector<float> logits;
-    };
-
-    // Seed with the prompt.
-    Beam seed{makeCache(), {}, 0.0, {}};
-    for (TokenId t : prompt)
-        seed.logits = forward(t, seed.cache);
-
-    std::vector<Beam> frontier;
-    frontier.push_back(std::move(seed));
-
-    for (unsigned s = 0; s < steps; ++s) {
-        struct Cand
-        {
-            std::size_t beam;
-            TokenId token;
-            double logProb;
-        };
-        std::vector<Cand> cands;
-        for (std::size_t b = 0; b < frontier.size(); ++b) {
-            // Log-softmax over the logits.
-            const auto &lg = frontier[b].logits;
-            float max_v = *std::max_element(lg.begin(), lg.end());
-            double sum = 0.0;
-            for (float v : lg)
-                sum += std::exp(v - max_v);
-            const double log_z = max_v + std::log(sum);
-            // Keep each beam's top `beams` continuations.
-            std::vector<std::size_t> idx(lg.size());
-            for (std::size_t i = 0; i < idx.size(); ++i)
-                idx[i] = i;
-            const std::size_t keep =
-                std::min<std::size_t>(beams, idx.size());
-            std::partial_sort(idx.begin(), idx.begin() + keep, idx.end(),
-                              [&](std::size_t a, std::size_t c) {
-                                  return lg[a] > lg[c];
-                              });
-            for (std::size_t i = 0; i < keep; ++i) {
-                cands.push_back({b, static_cast<TokenId>(idx[i]),
-                                 frontier[b].logProb + lg[idx[i]] -
-                                     log_z});
-            }
-        }
-        const std::size_t keep = std::min<std::size_t>(beams,
-                                                       cands.size());
-        std::partial_sort(cands.begin(), cands.begin() + keep,
-                          cands.end(), [](const Cand &a, const Cand &b) {
-                              return a.logProb > b.logProb;
-                          });
-        cands.resize(keep);
-
-        std::vector<Beam> next;
-        next.reserve(keep);
-        for (const Cand &c : cands) {
-            Beam nb = frontier[c.beam]; // deep copy incl. cache
-            nb.tokens.push_back(c.token);
-            nb.logProb = c.logProb;
-            if (s + 1 < steps)
-                nb.logits = forward(c.token, nb.cache);
-            next.push_back(std::move(nb));
-        }
-        frontier = std::move(next);
-    }
-
-    std::vector<Hypothesis> out;
-    out.reserve(frontier.size());
-    for (auto &b : frontier)
-        out.push_back({std::move(b.tokens), b.logProb});
-    std::sort(out.begin(), out.end(),
-              [](const Hypothesis &a, const Hypothesis &b) {
-                  return a.logProb > b.logProb;
-              });
-    return out;
-}
-
 } // namespace cllm::llm

@@ -2,10 +2,10 @@
  * @file
  * Functional transformer inference runtime. Runs real (laptop-scale)
  * Llama-architecture models end to end: embedding, RMSNorm, RoPE
- * attention with a KV cache, SwiGLU MLP, greedy and beam decoding, in
- * fp32, emulated bf16, or weight-only int8. This is the workload whose
- * op structure the timing model prices; tests use it to validate the
- * kernels and the KV-cache/beam machinery.
+ * attention with a KV cache, SwiGLU MLP, greedy decoding, in fp32,
+ * emulated bf16, or weight-only int8. This is the workload whose op
+ * structure the timing model prices; tests use it to validate the
+ * kernels and the KV cache.
  */
 
 #ifndef CLLM_LLM_RUNTIME_HH
@@ -49,13 +49,6 @@ class KvCache
     unsigned kvDim_;
     std::vector<std::vector<std::vector<float>>> keys_;   // [layer][pos]
     std::vector<std::vector<std::vector<float>>> values_;
-};
-
-/** A scored hypothesis from beam search. */
-struct Hypothesis
-{
-    std::vector<TokenId> tokens;
-    double logProb = 0.0;
 };
 
 /**
@@ -102,14 +95,6 @@ class TinyLlama
     /** Greedy decoding: feed prompt, then generate `steps` tokens. */
     std::vector<TokenId> generateGreedy(const std::vector<TokenId> &prompt,
                                         unsigned steps) const;
-
-    /**
-     * Beam-search decoding with `beams` hypotheses; returns all final
-     * hypotheses sorted by score (best first).
-     */
-    std::vector<Hypothesis>
-    generateBeam(const std::vector<TokenId> &prompt, unsigned steps,
-                 unsigned beams) const;
 
     /**
      * Serialize the fp32 master weights (header + raw tensors). The

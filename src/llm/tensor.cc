@@ -9,15 +9,7 @@ Tensor::Tensor(std::size_t rows, std::size_t cols)
 {
 }
 
-float &
-Tensor::at(std::size_t r, std::size_t c)
-{
-    if (r >= rows_ || c >= cols_)
-        cllm_panic("Tensor::at out of range (", r, ",", c, ")");
-    return data_[r * cols_ + c];
-}
-
-float
+const float &
 Tensor::at(std::size_t r, std::size_t c) const
 {
     if (r >= rows_ || c >= cols_)

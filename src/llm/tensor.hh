@@ -9,6 +9,7 @@
 #define CLLM_LLM_TENSOR_HH
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace cllm::llm {
@@ -31,8 +32,12 @@ class Tensor
     std::size_t size() const { return data_.size(); }
 
     /** Element access (bounds-checked). */
-    float &at(std::size_t r, std::size_t c);
-    float at(std::size_t r, std::size_t c) const;
+    const float &at(std::size_t r, std::size_t c) const;
+    float &
+    at(std::size_t r, std::size_t c)
+    {
+        return const_cast<float &>(std::as_const(*this).at(r, c));
+    }
 
     /** Raw row pointer. */
     float *row(std::size_t r);

@@ -148,42 +148,6 @@ PagedKvCache::appendToken(KvSeqId id)
     return true;
 }
 
-bool
-PagedKvCache::fork(KvSeqId parent, KvSeqId child)
-{
-    auto it = seqs_.find(parent);
-    if (it == seqs_.end())
-        cllm_fatal("PagedKvCache: fork from unknown sequence ",
-                   parent);
-    if (seqs_.count(child))
-        cllm_fatal("PagedKvCache: fork onto existing sequence ",
-                   child);
-
-    const Seq &p = it->second;
-    Seq c;
-    c.tokens = p.tokens;
-    c.blocks = p.blocks;
-
-    // Share all blocks; the trailing partial block is copied so the
-    // two beams can diverge immediately.
-    const bool has_partial =
-        !p.blocks.empty() && p.tokens % cfg_.blockTokens != 0;
-    if (has_partial) {
-        const std::uint32_t fresh = allocBlock();
-        if (fresh == kNoBlock)
-            return false;
-        c.blocks.back() = fresh;
-        ++stats_.cowCopies;
-        for (std::size_t i = 0; i + 1 < c.blocks.size(); ++i)
-            ++refCounts_[c.blocks[i]];
-    } else {
-        for (std::uint32_t b : c.blocks)
-            ++refCounts_[b];
-    }
-    seqs_.emplace(child, std::move(c));
-    return true;
-}
-
 void
 PagedKvCache::trimTokens(KvSeqId id, unsigned tokens)
 {

@@ -2,8 +2,8 @@
  * @file
  * Paged KV cache, in the style of vLLM's PagedAttention allocator:
  * KV memory is carved into fixed-size blocks of tokens; sequences own
- * block tables that grow one block at a time and can fork (beam
- * search / prefix sharing) with copy-on-write reference counts.
+ * block tables that grow one block at a time and can share full
+ * blocks (prefix sharing) with copy-on-write reference counts.
  *
  * Inside a TEE the whole pool is the encrypted enclave/TD memory the
  * operator sized (Gramine's enclave_size, the TD's memory), so the
@@ -69,14 +69,6 @@ class PagedKvCache
      * Returns false on pool exhaustion, leaving the sequence intact.
      */
     bool appendToken(KvSeqId id);
-
-    /**
-     * Fork `child` from `parent` (beam search / prefix sharing): the
-     * child shares every full block copy-on-write; the trailing
-     * partial block is copied eagerly, costing one block, so the two
-     * beams can diverge immediately.
-     */
-    bool fork(KvSeqId parent, KvSeqId child);
 
     /**
      * Register a new sequence of `tokens` tokens whose leading
@@ -179,7 +171,7 @@ class PagedKvCache
      * carries exactly refcount references, where the refcount must
      * equal live-table references plus external prefix pins — so
      * prefix pins, per-sequence tables, and the free list sum to the
-     * pool size across arbitrary fork/release/pin chains. The
+     * pool size across arbitrary share/trim/release/pin chains. The
      * property tests call this after every mutation; a violation is a
      * scheduler bug.
      */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mem/phys_mem.hh"
 #include "obs/metrics.hh"
 #include "util/logging.hh"
 

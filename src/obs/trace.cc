@@ -82,8 +82,6 @@ Tracer::complete(std::uint32_t lane, std::string name, double t0,
     e.t0 = t0;
     e.t1 = t1;
     e.args = std::move(args);
-    auto it = depth_.find(lane);
-    e.depth = it == depth_.end() ? 0 : it->second;
     sim_.push_back(std::move(e));
 }
 
@@ -168,27 +166,6 @@ Tracer::counterValue(std::uint32_t lane, std::string name, double t,
     sim_.push_back(std::move(e));
 }
 
-int
-Tracer::simDepth(std::uint32_t lane) const
-{
-    const auto it = depth_.find(lane);
-    return it == depth_.end() ? 0 : it->second;
-}
-
-int
-Tracer::pushSpan(std::uint32_t lane)
-{
-    return depth_[lane]++;
-}
-
-void
-Tracer::popSpan(std::uint32_t lane)
-{
-    auto it = depth_.find(lane);
-    if (it != depth_.end() && it->second > 0)
-        --it->second;
-}
-
 Tracer::WallRing &
 Tracer::myRing()
 {
@@ -255,55 +232,6 @@ Tracer::wallDropped() const
         if (r->seq > r->buf.size())
             dropped += r->seq - r->buf.size();
     return dropped;
-}
-
-void
-Tracer::clear()
-{
-    sim_.clear();
-    depth_.clear();
-    std::lock_guard<std::mutex> lock(wallMu_);
-    for (auto &r : rings_) {
-        r->buf.clear();
-        r->seq = 0;
-    }
-}
-
-SimSpan::SimSpan(Tracer *tracer, std::uint32_t lane, std::string name,
-                 double t0)
-    : lane_(lane), t0_(t0)
-{
-    if (!tracer || !tracer->simEnabled())
-        return;
-    tracer_ = tracer;
-    name_ = std::move(name);
-    depth_ = tracer_->pushSpan(lane_);
-}
-
-SimSpan::~SimSpan()
-{
-    if (tracer_)
-        end(t0_);
-}
-
-void
-SimSpan::end(double t1,
-             std::vector<std::pair<std::string, double>> args)
-{
-    if (!tracer_)
-        return;
-    Tracer *t = tracer_;
-    tracer_ = nullptr;
-    t->popSpan(lane_);
-    SimEvent e;
-    e.ph = SimEvent::Ph::Complete;
-    e.lane = lane_;
-    e.name = std::move(name_);
-    e.t0 = t0_;
-    e.t1 = t1;
-    e.depth = t->simDepth(lane_);
-    e.args = std::move(args);
-    t->sim_.push_back(std::move(e));
 }
 
 } // namespace cllm::obs

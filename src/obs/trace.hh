@@ -72,7 +72,6 @@ struct SimEvent
     std::uint64_t id = 0;   //!< async track id
     double t0 = 0.0;        //!< seconds (sim clock)
     double t1 = 0.0;        //!< Complete only
-    int depth = 0;          //!< span nesting depth at emission
     double value = 0.0;     //!< Counter only
     std::vector<std::pair<std::string, double>> args;
     std::vector<std::pair<std::string, std::string>> sargs;
@@ -148,9 +147,6 @@ class Tracer
         return laneNames_;
     }
 
-    /** Current span nesting depth on a lane (tests / diagnostics). */
-    int simDepth(std::uint32_t lane) const;
-
     // ---- wall-clock domain ----------------------------------------
     /** Record one wall span on the calling thread's ring. */
     void wallSpan(const char *name, std::uint64_t t0_ns,
@@ -168,56 +164,18 @@ class Tracer
     /** Wall spans overwritten because a ring filled up. */
     std::uint64_t wallDropped() const;
 
-    /** Forget all recorded events (mode and lane names survive). */
-    void clear();
-
   private:
-    friend class SimSpan;
-
     struct WallRing;
 
-    int pushSpan(std::uint32_t lane);
-    void popSpan(std::uint32_t lane);
     WallRing &myRing();
 
     std::atomic<TraceMode> mode_{TraceMode::Off};
     std::vector<SimEvent> sim_;
     std::map<std::uint32_t, std::string> laneNames_;
-    std::map<std::uint32_t, int> depth_;
     std::uint64_t epochNs_ = 0;
 
     mutable std::mutex wallMu_;
     std::vector<std::unique_ptr<WallRing>> rings_;
-};
-
-/**
- * RAII sim-time span. Construction opens the span at `t0`; `end(t1)`
- * closes and records it. A span destroyed while still open closes at
- * its own start time (zero duration) so early exits never corrupt
- * nesting. Inert when `tracer` is null or sim recording is off.
- */
-class SimSpan
-{
-  public:
-    SimSpan(Tracer *tracer, std::uint32_t lane, std::string name,
-            double t0);
-    ~SimSpan();
-
-    SimSpan(const SimSpan &) = delete;
-    SimSpan &operator=(const SimSpan &) = delete;
-
-    /** Close the span at `t1` with optional numeric args. */
-    void end(double t1,
-             std::vector<std::pair<std::string, double>> args = {});
-
-    bool active() const { return tracer_ != nullptr; }
-
-  private:
-    Tracer *tracer_ = nullptr; //!< null once closed / when inert
-    std::uint32_t lane_ = 0;
-    std::string name_;
-    double t0_ = 0.0;
-    int depth_ = 0;
 };
 
 /**

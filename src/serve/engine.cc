@@ -130,14 +130,6 @@ ContinuousEngine::timeline() const
     return inj_.timeline();
 }
 
-std::vector<const Request *>
-ContinuousEngine::drainFinished()
-{
-    std::vector<const Request *> out;
-    out.swap(finished_);
-    return out;
-}
-
 // Admission check, optionally against a pool whose usable share has
 // been shrunk by an active KvExhaustion window. Reserved mode needs
 // the full inLen+outLen up front; paged mode needs only the resident
@@ -870,7 +862,7 @@ ContinuousEngine::priceStep()
 // plus one token (just the one token outside spec mode): the bonus
 // token when every draft survived, the rejection-resampled correction
 // otherwise. Rejected draft KV rolls back out of the paged pool so
-// reuse, forks and pins stay consistent. Pool trims and releases wait
+// shared blocks and pins stay consistent. Pool trims and releases wait
 // until the walk is done, so a landing sequence's prefix insert sees
 // the pool exactly as the step left it.
 void
@@ -986,7 +978,6 @@ ContinuousEngine::applyStep()
             emitted += emit;
             if (a.produced >= r->outLen) {
                 r->finish = now;
-                finished_.push_back(r);
                 if (pool_)
                     kvOps_.push_back({r->id, 0});
                 if (tr)

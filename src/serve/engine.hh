@@ -79,7 +79,7 @@ class ContinuousEngine
      * every step. An idle engine's whole tally is in the registry; a
      * busy one's lags by its current busy period. So whenever every
      * engine is idle, each registry total equals the sum of the
-     * engines' tally fields since the last `Registry::reset()`.
+     * engines' tally fields (over every engine the process ran).
      */
     void iterate(double admit_horizon =
                      std::numeric_limits<double>::infinity());
@@ -143,12 +143,6 @@ class ContinuousEngine
     {
         return submitted_;
     }
-
-    /**
-     * Requests that finished since the last call, in completion
-     * order; the internal log is cleared.
-     */
-    std::vector<const Request *> drainFinished();
 
   private:
     struct ActiveSeq
@@ -312,7 +306,6 @@ class ContinuousEngine
                         PendingLater>
         pending_;
     std::vector<const Request *> submitted_;
-    std::vector<const Request *> finished_;
 };
 
 /**

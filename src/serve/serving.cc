@@ -10,20 +10,6 @@
 
 namespace cllm::serve {
 
-const char *
-arrivalProcessName(ArrivalProcess p)
-{
-    switch (p) {
-      case ArrivalProcess::Poisson:
-        return "poisson";
-      case ArrivalProcess::Deterministic:
-        return "deterministic";
-      case ArrivalProcess::BurstyOnOff:
-        return "bursty";
-    }
-    return "?";
-}
-
 std::vector<Request>
 generateWorkload(const WorkloadConfig &cfg)
 {
@@ -102,18 +88,6 @@ batchPolicyName(BatchPolicy p)
         return "static";
       case BatchPolicy::Continuous:
         return "continuous";
-    }
-    return "?";
-}
-
-const char *
-kvPreemptPolicyName(KvPreemptPolicy p)
-{
-    switch (p) {
-      case KvPreemptPolicy::Recompute:
-        return "recompute";
-      case KvPreemptPolicy::SwapToEpc:
-        return "swap";
     }
     return "?";
 }

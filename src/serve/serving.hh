@@ -75,9 +75,6 @@ enum class ArrivalProcess
     BurstyOnOff,
 };
 
-/** Printable arrival-process name. */
-const char *arrivalProcessName(ArrivalProcess p);
-
 /** Open-loop workload description. */
 struct WorkloadConfig
 {
@@ -188,9 +185,6 @@ enum class KvPreemptPolicy
      */
     SwapToEpc,
 };
-
-/** Printable preemption-policy name. */
-const char *kvPreemptPolicyName(KvPreemptPolicy p);
 
 /** Paged-mode tuning; only read when `ServerConfig::kvMode` is
  *  Paged. */

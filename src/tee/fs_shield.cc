@@ -66,25 +66,6 @@ FsShield::get(const std::string &path) const
 }
 
 bool
-FsShield::contains(const std::string &path) const
-{
-    return files_.count(path) != 0;
-}
-
-bool
-FsShield::remove(const std::string &path)
-{
-    return files_.erase(path) != 0;
-}
-
-std::size_t
-FsShield::storedBytes(const std::string &path) const
-{
-    auto it = files_.find(path);
-    return it == files_.end() ? 0 : it->second.cipher.size();
-}
-
-bool
 FsShield::tamper(const std::string &path, std::size_t offset)
 {
     auto it = files_.find(path);

@@ -42,17 +42,8 @@ class FsShield
     std::optional<std::vector<std::uint8_t>>
     get(const std::string &path) const;
 
-    /** Whether a path exists (does not verify). */
-    bool contains(const std::string &path) const;
-
-    /** Remove a file; returns false when absent. */
-    bool remove(const std::string &path);
-
     /** Number of stored files. */
     std::size_t size() const { return files_.size(); }
-
-    /** Stored ciphertext size for a path (0 if absent). */
-    std::size_t storedBytes(const std::string &path) const;
 
     /**
      * Test hook: flip one ciphertext byte, modelling an attacker with

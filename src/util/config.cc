@@ -116,26 +116,6 @@ Config::getString(const std::string &section, const std::string &key,
     return kit == it->second.end() ? fallback : kit->second;
 }
 
-long
-Config::getInt(const std::string &section, const std::string &key,
-               long fallback) const
-{
-    if (!has(section, key))
-        return fallback;
-    return parseNumber<long>("config [" + section + "] " + key,
-                             getString(section, key));
-}
-
-double
-Config::getDouble(const std::string &section, const std::string &key,
-                  double fallback) const
-{
-    if (!has(section, key))
-        return fallback;
-    return parseNumber<double>("config [" + section + "] " + key,
-                               getString(section, key));
-}
-
 bool
 Config::getBool(const std::string &section, const std::string &key,
                 bool fallback) const

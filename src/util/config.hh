@@ -74,14 +74,6 @@ class Config
                           const std::string &key,
                           const std::string &fallback = "") const;
 
-    /** Integer value or default; fatal on malformed numbers. */
-    long getInt(const std::string &section, const std::string &key,
-                long fallback = 0) const;
-
-    /** Floating value or default; fatal on malformed numbers. */
-    double getDouble(const std::string &section, const std::string &key,
-                     double fallback = 0.0) const;
-
     /** Boolean: true/false/yes/no/1/0. */
     bool getBool(const std::string &section, const std::string &key,
                  bool fallback = false) const;

@@ -9,7 +9,6 @@
 #define CLLM_UTIL_JSON_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -52,7 +51,6 @@ class JsonWriter
     JsonWriter &value(int v) { return value(std::int64_t{v}); }
     JsonWriter &value(unsigned v) { return value(std::int64_t{v}); }
     JsonWriter &value(bool v);
-    JsonWriter &null();
 
     /**
      * `key(name).value(v)` in one call — the shape every metrics
@@ -83,19 +81,6 @@ class JsonWriter
     bool pendingKey_ = false;
     bool wroteRoot_ = false;
 };
-
-/**
- * Parse a flat JSON object of numeric values — `{"a.b": 1.5, ...}` —
- * as written by JsonWriter for golden expectation files. Keys decode
- * every escape the writer emits (the RFC 8259 short escapes `\" \\
- * \/ \b \f \n \r \t` plus ASCII `\u00XX`), so writer->reader
- * round-trips are byte-exact; non-ASCII `\u` escapes, nesting, and
- * non-numeric values are rejected. Fatal on malformed input (golden
- * files are checked in, so damage is a repo bug, not a runtime
- * condition).
- */
-std::map<std::string, double> parseFlatJsonNumbers(
-    const std::string &text);
 
 } // namespace cllm
 

@@ -1,28 +1,9 @@
 #include "util/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace cllm {
-
-namespace {
-// Atomic so worker threads on the par pool can log while another
-// thread adjusts verbosity; relaxed ordering suffices for a filter.
-std::atomic<LogLevel> g_level{LogLevel::Warn};
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -45,15 +26,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (logLevel() >= LogLevel::Warn)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Inform)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace detail

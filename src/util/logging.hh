@@ -2,7 +2,7 @@
  * @file
  * Logging and error-reporting helpers, following the gem5 convention:
  * panic() for internal library bugs (aborts), fatal() for user errors
- * (clean exit), warn()/inform() for diagnostics.
+ * (clean exit), warn() for diagnostics.
  */
 
 #ifndef CLLM_UTIL_LOGGING_HH
@@ -12,16 +12,6 @@
 #include <string>
 
 namespace cllm {
-
-/** Verbosity levels for runtime log filtering. */
-enum class LogLevel { Silent = 0, Warn = 1, Inform = 2, Debug = 3 };
-
-/** Set the global log verbosity. Safe to call from any thread; the
- *  level is an atomic read by every log site. */
-void setLogLevel(LogLevel level);
-
-/** Current global log verbosity. */
-LogLevel logLevel();
 
 namespace detail {
 
@@ -40,7 +30,6 @@ concat(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -66,14 +55,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Informational status message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace cllm

@@ -65,12 +65,6 @@ Rng::uniform()
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t
 Rng::uniformInt(std::uint64_t lo, std::uint64_t hi)
 {

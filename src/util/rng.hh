@@ -59,9 +59,6 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform();
 
-    /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
-
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t uniformInt(std::uint64_t lo, std::uint64_t hi);
 

@@ -10,41 +10,41 @@
 namespace cllm {
 
 void
-OnlineStats::add(double x, std::uint64_t n)
+OnlineStats::add(double x)
 {
-    if (n == 0)
-        return;
     if (n_ == 0) {
-        // The first step sets mean = x exactly, whatever the weight:
-        // (x * n) / n can round away from x, and m2 with it below 0.
         min_ = max_ = mean_ = x;
-        n_ = n;
+        n_ = 1;
         return;
     }
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-    n_ += n;
-    const double w = static_cast<double>(n);
-    const double delta = x - mean_;
-    mean_ += delta * w / static_cast<double>(n_);
-    m2_ += delta * (x - mean_) * w;
-}
-
-double
-OnlineStats::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-OnlineStats::stddev() const
-{
-    return std::sqrt(variance());
+    ++n_;
+    mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 namespace {
+
+/**
+ * Sample stddev of `v` about its computed `mean`: the corrected
+ * two-pass formula sqrt((Σd² − (Σd)²/n) / (n − 1)) with d = x − mean,
+ * where the (Σd)²/n term cancels the mean's own rounding error. The
+ * run-length summary uses the same formula.
+ */
+double
+stddevAbout(const std::vector<double> &v, double mean)
+{
+    if (v.size() < 2)
+        return 0.0;
+    double dev = 0.0, dev2 = 0.0;
+    for (double x : v) {
+        const double d = x - mean;
+        dev += d;
+        dev2 += d * d;
+    }
+    const double nd = static_cast<double>(v.size());
+    return std::sqrt(std::max(0.0, dev2 - dev * dev / nd) / (nd - 1.0));
+}
 
 /**
  * Type-7 ("linear") percentile position in n >= 2 sorted samples: the
@@ -186,7 +186,7 @@ zScoreFilter(const std::vector<double> &samples, double z_max,
     OnlineStats st;
     for (double x : samples)
         st.add(x);
-    const double sd = st.stddev();
+    const double sd = stddevAbout(samples, st.mean());
     std::vector<double> out;
     out.reserve(samples.size());
     if (sd == 0.0) {
@@ -221,7 +221,7 @@ summarize(const std::vector<double> &samples, double z_max)
         st.add(x);
     s.count = st.count();
     s.mean = st.mean();
-    s.stddev = st.stddev();
+    s.stddev = stddevAbout(kept, s.mean);
     s.min = st.min();
     s.max = st.max();
     const std::vector<double> pct =
@@ -336,13 +336,6 @@ summarize(std::span<const RunLengthSamples *const> parts)
         *out[k] = Type7Rank(ps[k], n).interpolate(v[0], v[1]);
     }
     return s;
-}
-
-SampleSummary
-summarize(const RunLengthSamples &samples)
-{
-    const RunLengthSamples *const part = &samples;
-    return summarize({&part, 1});
 }
 
 double

@@ -16,21 +16,16 @@
 namespace cllm {
 
 /**
- * Streaming mean/variance accumulator (Welford's algorithm).
- * Numerically stable; O(1) memory.
+ * Streaming mean (Welford's running update), minimum and maximum;
+ * O(1) memory. The spread is not kept here: a running sum of squared
+ * deviations loses most of its digits when the samples sit a few ulps
+ * apart, so summarize() and zScoreFilter() take the stddev in a
+ * second pass over the samples.
  */
 class OnlineStats
 {
   public:
-    /** Add one sample; bit-identical to add(x, 1). */
-    void add(double x) { add(x, 1); }
-
-    /**
-     * Add `n` copies of `x` in one step: the weighted Welford update,
-     * i.e. a Chan merge of a zero-variance block. With n = 1 every
-     * operation reduces exactly to the single-sample update.
-     */
-    void add(double x, std::uint64_t n);
+    void add(double x);
 
     /** Number of samples seen so far. */
     std::size_t count() const { return n_; }
@@ -38,25 +33,15 @@ class OnlineStats
     /** Arithmetic mean; 0 when empty. */
     double mean() const { return n_ ? mean_ : 0.0; }
 
-    /** Unbiased sample variance; 0 when n < 2. */
-    double variance() const;
-
-    /** Sample standard deviation. */
-    double stddev() const;
-
     /** Smallest sample seen; 0 when empty. */
     double min() const { return n_ ? min_ : 0.0; }
 
     /** Largest sample seen; 0 when empty. */
     double max() const { return n_ ? max_ : 0.0; }
 
-    /** Sum of all samples. */
-    double sum() const { return n_ ? mean_ * n_ : 0.0; }
-
   private:
     std::size_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
 };
@@ -165,13 +150,11 @@ class RunLengthSamples
  *     of p50/p95/p99 and their +1 partners, inside which a weighted
  *     quickselect finds each order statistic.
  *
- * Mean and stddev differ from the per-sample Welford pass of
- * summarize() only in the last bits. Panics on a non-finite sample.
+ * Mean and stddev differ from summarize()'s (a per-sample Welford
+ * mean, and the same corrected deviation sums around it) only in the
+ * last bits. Panics on a non-finite sample.
  */
 SampleSummary summarize(std::span<const RunLengthSamples *const> parts);
-
-/** summarize() of one run-length multiset. */
-SampleSummary summarize(const RunLengthSamples &samples);
 
 /** Relative overhead of `value` versus `baseline`, as a fraction. */
 double overhead(double value, double baseline);

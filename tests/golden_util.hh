@@ -19,7 +19,7 @@
 #include <sstream>
 #include <string>
 
-#include "util/json.hh"
+#include "flat_json.hh"
 
 #ifndef CLLM_GOLDEN_DIR
 #error "CLLM_GOLDEN_DIR must point at tests/golden"

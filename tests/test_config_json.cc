@@ -16,6 +16,7 @@
 #include "bench/bench_util.hh"
 #include "examples/run_flags.hh"
 #include "util/config.hh"
+#include "flat_json.hh"
 #include "util/json.hh"
 
 using namespace cllm;
@@ -44,10 +45,10 @@ TEST(Config, ParsesSectionsAndKeys)
     ASSERT_TRUE(r.ok) << r.error;
     const Config &c = r.config;
     EXPECT_EQ(c.getString("experiment", "model"), "7b");
-    EXPECT_EQ(c.getInt("experiment", "batch"), 6);
-    EXPECT_EQ(c.getInt("experiment", "beam"), 4); // comment stripped
+    EXPECT_EQ(c.getString("experiment", "batch"), "6");
+    EXPECT_EQ(c.getString("experiment", "beam"), "4"); // comment stripped
     EXPECT_TRUE(c.getBool("experiment", "amx"));
-    EXPECT_NEAR(c.getDouble("experiment", "price"), 0.0088, 1e-12);
+    EXPECT_EQ(c.getString("experiment", "price"), "0.0088");
     EXPECT_EQ(c.getString("machine", "name"), "emr1");
 }
 
@@ -70,7 +71,7 @@ TEST(Config, DefaultsWhenMissing)
     const auto r = Config::parse(kSample);
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.config.getString("experiment", "nope", "dflt"), "dflt");
-    EXPECT_EQ(r.config.getInt("nope", "x", 42), 42);
+    EXPECT_EQ(r.config.getString("nope", "x", "42"), "42");
     EXPECT_FALSE(r.config.has("experiment", "nope"));
 }
 
@@ -78,7 +79,7 @@ TEST(Config, LastDuplicateWins)
 {
     const auto r = Config::parse("[s]\nk = 1\nk = 2\n");
     ASSERT_TRUE(r.ok);
-    EXPECT_EQ(r.config.getInt("s", "k"), 2);
+    EXPECT_EQ(r.config.getString("s", "k"), "2");
     EXPECT_EQ(r.config.keys("s").size(), 1u);
 }
 
@@ -95,14 +96,13 @@ TEST(Config, GlobalSectionSupported)
 {
     const auto r = Config::parse("top = 1\n[s]\nk = 2\n");
     ASSERT_TRUE(r.ok);
-    EXPECT_EQ(r.config.getInt("", "top"), 1);
+    EXPECT_EQ(r.config.getString("", "top"), "1");
 }
 
 TEST(ConfigDeath, MalformedNumbersFatal)
 {
     const auto r = Config::parse("[s]\nk = 12abc\nb = maybe\n");
     ASSERT_TRUE(r.ok);
-    EXPECT_DEATH(r.config.getInt("s", "k"), "trailing junk");
     EXPECT_DEATH(r.config.getBool("s", "b"), "not a boolean");
 }
 
@@ -129,15 +129,6 @@ TEST(ParseNumberDeath, RejectsJunkTrailingAndOutOfRange)
     EXPECT_DEATH(parseNumber<double>("f", "1.5", 0.0, 1.0), "outside");
     EXPECT_DEATH(parseNumber<double>("f", "nan"), "outside");
     EXPECT_DEATH(parseNumber<double>("f", "inf"), "outside");
-}
-
-TEST(ConfigDeath, MalformedDoubleFatal)
-{
-    const auto r = Config::parse("[s]\nx = 0.5x\ny = pi\n");
-    ASSERT_TRUE(r.ok);
-    EXPECT_DEATH(r.config.getDouble("s", "x"),
-                 "config \\[s\\] x = '0.5x' has trailing junk");
-    EXPECT_DEATH(r.config.getDouble("s", "y"), "is not a number");
 }
 
 namespace {
@@ -381,12 +372,11 @@ TEST(Json, FlatObject)
         j.key("tput").value(46.63);
         j.key("batch").value(6);
         j.key("amx").value(true);
-        j.key("note").null();
         j.endObject();
         EXPECT_TRUE(j.complete());
     }
     EXPECT_EQ(os.str(), "{\"name\":\"TDX\",\"tput\":46.63,"
-                        "\"batch\":6,\"amx\":true,\"note\":null}");
+                        "\"batch\":6,\"amx\":true}");
 }
 
 TEST(Json, NestedArraysAndObjects)
@@ -450,13 +440,13 @@ TEST(Json, FlatReaderRoundTripsEscapedKeys)
         j.endObject();
     }
     const std::map<std::string, double> parsed =
-        parseFlatJsonNumbers(os.str());
+        cllm::testing::parseFlatJsonNumbers(os.str());
     EXPECT_EQ(parsed, original);
 }
 
 TEST(JsonDeath, FlatReaderRejectsNonAsciiUnicodeEscape)
 {
-    EXPECT_DEATH(parseFlatJsonNumbers("{\"a\\u2603\": 1}"),
+    EXPECT_DEATH(cllm::testing::parseFlatJsonNumbers("{\"a\\u2603\": 1}"),
                  "\\\\u escape");
 }
 

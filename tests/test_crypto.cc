@@ -33,6 +33,20 @@ fromHex(const std::string &hex)
     return out;
 }
 
+/** Lowercase hex of a digest, for comparing against published vectors. */
+std::string
+toHex(const Digest256 &digest)
+{
+    static const char *hex = "0123456789abcdef";
+    std::string out;
+    out.reserve(64);
+    for (std::uint8_t b : digest) {
+        out += hex[b >> 4];
+        out += hex[b & 0xf];
+    }
+    return out;
+}
+
 } // namespace
 
 TEST(Sha256, EmptyString)
@@ -113,26 +127,6 @@ TEST(Aes128, Fips197Vector)
 
     const auto expect = fromHex("69c4e0d86a7b0430d8cdb78070b4c55a");
     EXPECT_EQ(0, std::memcmp(block.data(), expect.data(), 16));
-
-    aes.decryptBlock(block);
-    EXPECT_EQ(0, std::memcmp(block.data(), pbytes.data(), 16));
-}
-
-TEST(Aes128, EncryptDecryptRoundtripMany)
-{
-    AesKey key{};
-    for (int i = 0; i < 16; ++i)
-        key[i] = static_cast<std::uint8_t>(i * 7 + 1);
-    Aes128 aes(key);
-    for (int t = 0; t < 50; ++t) {
-        AesBlock b{}, orig{};
-        for (int i = 0; i < 16; ++i)
-            b[i] = orig[i] = static_cast<std::uint8_t>(t * 16 + i);
-        aes.encryptBlock(b);
-        EXPECT_NE(0, std::memcmp(b.data(), orig.data(), 16));
-        aes.decryptBlock(b);
-        EXPECT_EQ(0, std::memcmp(b.data(), orig.data(), 16));
-    }
 }
 
 TEST(AesCtr, Sp80038aVector)
@@ -213,7 +207,8 @@ TEST(HmacSha256, Rfc4231Case2)
 {
     const std::string key = "Jefe";
     const std::string data = "what do ya want for nothing?";
-    EXPECT_EQ(toHex(hmacSha256(key, data)),
+    EXPECT_EQ(toHex(hmacSha256({key.begin(), key.end()}, data.data(),
+                               data.size())),
               "5bdcc146bf60754e6a042426089575c7"
               "5a003f089d2739839dec58b964ec3843");
 }

@@ -189,30 +189,6 @@ TEST(FaultSchedule, AddKeepsTimeOrder)
     EXPECT_EQ(s.events()[2].kind, FaultKind::EpcStorm);
 }
 
-TEST(FaultSchedule, ConfigFromIniSection)
-{
-    const auto parsed = Config::parse("[fault]\n"
-                                      "seed = 77\n"
-                                      "horizon = 250\n"
-                                      "attest_rate = 0.02\n"
-                                      "attest_duration = 3\n"
-                                      "restart_rate = 0.005\n"
-                                      "epc_storm_rate = 0.01\n"
-                                      "epc_storm_duration = 8\n"
-                                      "epc_storm_magnitude = 5\n"
-                                      "kv_exhaustion_rate = 0.004\n"
-                                      "kv_exhaustion_magnitude = 0.4\n");
-    ASSERT_TRUE(parsed.ok);
-    const auto fs = FaultSchedule::configFrom(parsed.config);
-    EXPECT_EQ(fs.seed, 77u);
-    EXPECT_DOUBLE_EQ(fs.horizon, 250.0);
-    EXPECT_DOUBLE_EQ(fs.attestFail.rate, 0.02);
-    EXPECT_DOUBLE_EQ(fs.attestFail.meanDuration, 3.0);
-    EXPECT_DOUBLE_EQ(fs.enclaveRestart.rate, 0.005);
-    EXPECT_DOUBLE_EQ(fs.epcStorm.magnitude, 5.0);
-    EXPECT_DOUBLE_EQ(fs.kvExhaustion.magnitude, 0.4);
-}
-
 TEST(FaultScheduleDeath, BadInputsFatal)
 {
     FaultScheduleConfig fs;
@@ -306,7 +282,6 @@ TEST(FaultInjector, TimelineRecordsImpact)
     EXPECT_DOUBLE_EQ(inj.timeline()[0].applied, 1.5);
     EXPECT_EQ(inj.timeline()[0].affected, 2u);
     EXPECT_LT(inj.timeline()[1].applied, 0.0); // never fired
-    EXPECT_EQ(inj.firedCount(), 1u);
 }
 
 TEST(FaultInjector, EmptyInjectorIsInert)

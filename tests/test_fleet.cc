@@ -299,19 +299,26 @@ TEST(FleetLifecycle, RetiredNodesEmitNoEngineEvents)
 // A retired node that never published would leave its share out.
 TEST(FleetLifecycle, ObsCountersEqualRollupAfterRun)
 {
-    obs::Registry::global().reset();
+    // The registry is process-wide: compare what this run adds.
+    std::vector<std::uint64_t> before;
+    for (const serve::CounterDef &d : serve::kServeCounters)
+        if (d.obs)
+            before.push_back(obs::Registry::global().counter(d.obs).total());
     FleetSimulator sim(churnFleetConfig(), churnTemplates());
     const FleetMetrics m = sim.run(churnTrace());
     EXPECT_GE(m.drains, 20u);
     EXPECT_GT(m.prefixHits, 0u);
     EXPECT_GT(m.chunkSlices, 0u);
     EXPECT_GT(m.specVerifySteps, 0u);
+    std::size_t i = 0;
     for (const serve::CounterDef &d : serve::kServeCounters) {
         if (!d.obs)
             continue;
         const auto f =
             std::get<std::uint64_t serve::ServeCounters::*>(d.member);
-        EXPECT_EQ(obs::Registry::global().counter(d.obs).total(), m.*f)
+        EXPECT_EQ(obs::Registry::global().counter(d.obs).total() -
+                      before[i++],
+                  m.*f)
             << d.obs;
     }
 }

@@ -45,22 +45,6 @@ TEST(FsShield, MissingFileIsNullopt)
 {
     FsShield fs(key());
     EXPECT_FALSE(fs.get("/nope").has_value());
-    EXPECT_FALSE(fs.contains("/nope"));
-}
-
-TEST(FsShield, StoredBytesAreCiphertext)
-{
-    FsShield fs(key());
-    const auto data = blob(256);
-    fs.put("/f", data);
-    EXPECT_EQ(fs.storedBytes("/f"), data.size());
-    // The shield must not store plaintext; spot-check via tamper: a
-    // read of an untouched file succeeds, and the API gives no
-    // plaintext access path, so verify indirectly through a second
-    // shield with the same key seeing different per-path nonces.
-    FsShield fs2(key());
-    fs2.put("/g", data);
-    EXPECT_TRUE(fs2.get("/g").has_value());
 }
 
 TEST(FsShield, TamperDetected)
@@ -97,17 +81,6 @@ TEST(FsShield, SameContentDifferentPathsIndependent)
     EXPECT_FALSE(fs.get("/a").has_value());
     EXPECT_TRUE(fs.get("/b").has_value());
     EXPECT_EQ(*fs.get("/b"), data);
-}
-
-TEST(FsShield, RemoveWorks)
-{
-    FsShield fs(key());
-    fs.put("/f", blob(10));
-    EXPECT_EQ(fs.size(), 1u);
-    EXPECT_TRUE(fs.remove("/f"));
-    EXPECT_FALSE(fs.remove("/f"));
-    EXPECT_EQ(fs.size(), 0u);
-    EXPECT_FALSE(fs.get("/f").has_value());
 }
 
 TEST(FsShield, EmptyFileSupported)

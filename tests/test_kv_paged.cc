@@ -3,8 +3,8 @@
  * Differential and property harness for the paged KV cache and the
  * continuous-batching scheduler built on it. Three layers:
  *
- *  1. PagedKvCache unit properties — fragmentation accounting, COW
- *     fork semantics, lifetime stats, block conservation.
+ *  1. PagedKvCache unit properties — fragmentation accounting, block
+ *     sharing and copy-on-write, lifetime stats, block conservation.
  *  2. Differential tests — the paged engine replayed against the
  *     reserved engine on the same seeded trace: with an ample pool
  *     the per-request timelines must match token for token; with a
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "golden_util.hh"
+#include "kv_share.hh"
 #include "mem/kv_paged.hh"
 #include "serve/engine.hh"
 #include "serve/serving.hh"
@@ -166,20 +167,34 @@ TEST(PagedKv, ForkSharesFullBlocksAndCopiesTheTail)
     mem::PagedKvCache kv({16, 4});
     ASSERT_TRUE(kv.addSequence(1, 6)); // one full + one partial block
     const std::uint64_t before = kv.usedBlocks();
-    ASSERT_TRUE(kv.fork(1, 2));
-    // The full block is shared; only the partial tail is copied.
+    ASSERT_TRUE(cllm::testing::shareFullBlocks(kv, 1, 2));
+    // The full block is shared; only the partial tail is new.
+    const std::uint32_t shared = kv.blockTable(1)[0];
+    EXPECT_EQ(kv.blockTable(2)[0], shared);
+    EXPECT_EQ(kv.refCount(shared), 2u);
     EXPECT_EQ(kv.usedBlocks(), before + 1);
-    EXPECT_EQ(kv.stats().cowCopies, 1u);
     EXPECT_EQ(kv.tokens(2), 6u);
     EXPECT_EQ(kv.blocksOf(1), 2u);
     EXPECT_EQ(kv.blocksOf(2), 2u);
     EXPECT_TRUE(kv.consistent());
 
-    // The beams diverge independently after the fork.
+    // The sequences diverge independently after the share.
     ASSERT_TRUE(kv.appendToken(1));
     ASSERT_TRUE(kv.appendToken(2));
     EXPECT_EQ(kv.tokens(1), 7u);
     EXPECT_EQ(kv.tokens(2), 7u);
+    EXPECT_EQ(kv.stats().cowCopies, 0u);
+    EXPECT_TRUE(kv.consistent());
+
+    // Trimming back into the shared block and appending writes into
+    // a block the parent still reads: copy-on-write.
+    kv.trimTokens(2, 3);
+    EXPECT_EQ(kv.blockTable(2), std::vector<std::uint32_t>{shared});
+    ASSERT_TRUE(kv.appendToken(2));
+    EXPECT_EQ(kv.stats().cowCopies, 1u);
+    EXPECT_NE(kv.blockTable(2)[0], shared);
+    EXPECT_EQ(kv.refCount(shared), 1u);
+    EXPECT_EQ(kv.tokens(2), 4u);
     EXPECT_TRUE(kv.consistent());
 
     // Releasing the parent must not strand the shared block.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the paged KV-cache block pool: allocation, growth,
- * copy-on-write forking, exhaustion, and accounting — plus
+ * block sharing between sequences, exhaustion, and accounting — plus
  * parameterized property sweeps over pool geometries (no double-free,
  * monotone occupancy, admission reservations cover the full context).
  */
@@ -12,10 +12,12 @@
 #include <tuple>
 #include <vector>
 
+#include "kv_share.hh"
 #include "mem/kv_paged.hh"
 #include "util/rng.hh"
 
 using namespace cllm;
+using cllm::testing::shareFullBlocks;
 
 namespace {
 
@@ -80,7 +82,7 @@ TEST(KvPool, ForkSharesFullBlocks)
 {
     mem::PagedKvCache pool(smallPool(8, 4));
     pool.addSequence(1, 8); // two full blocks
-    ASSERT_TRUE(pool.fork(1, 2));
+    ASSERT_TRUE(shareFullBlocks(pool, 1, 2));
     // No partial block: everything shared, no extra allocation.
     EXPECT_EQ(pool.freeBlocks(), 6u);
     EXPECT_EQ(pool.tokens(2), 8u);
@@ -90,19 +92,19 @@ TEST(KvPool, ForkCopiesPartialBlock)
 {
     mem::PagedKvCache pool(smallPool(8, 4));
     pool.addSequence(1, 6); // 1 full + 1 partial
-    ASSERT_TRUE(pool.fork(1, 2));
-    // Partial block duplicated: 3 blocks in use.
+    ASSERT_TRUE(shareFullBlocks(pool, 1, 2));
+    // Fresh partial block for the child: 3 blocks in use.
     EXPECT_EQ(pool.freeBlocks(), 5u);
 }
 
 TEST(KvPool, CopyOnWriteOnSharedBoundary)
 {
-    // Fork on a full-block boundary shares everything; the next
-    // append lands in a fresh block so beams never clobber each
-    // other.
+    // Sharing on a full-block boundary shares everything; the next
+    // append lands in a fresh block so the sequences never clobber
+    // each other.
     mem::PagedKvCache pool(smallPool(8, 4));
     pool.addSequence(1, 4);
-    ASSERT_TRUE(pool.fork(1, 2));
+    ASSERT_TRUE(shareFullBlocks(pool, 1, 2));
     EXPECT_EQ(pool.freeBlocks(), 7u); // one shared block
     ASSERT_TRUE(pool.appendToken(1)); // new private block for 1
     ASSERT_TRUE(pool.appendToken(2)); // new private block for 2
@@ -115,7 +117,7 @@ TEST(KvPool, ReleaseOfForkKeepsParentIntact)
 {
     mem::PagedKvCache pool(smallPool(8, 4));
     pool.addSequence(1, 8);
-    pool.fork(1, 2);
+    ASSERT_TRUE(shareFullBlocks(pool, 1, 2));
     pool.release(2);
     EXPECT_EQ(pool.freeBlocks(), 6u);
     EXPECT_EQ(pool.tokens(1), 8u);
@@ -155,8 +157,6 @@ TEST(KvPoolDeath, ApiMisuseFatal)
     EXPECT_DEATH(pool.addSequence(1, 4), "duplicate");
     EXPECT_DEATH(pool.appendToken(99), "unknown");
     EXPECT_DEATH(pool.release(99), "unknown");
-    EXPECT_DEATH(pool.fork(99, 100), "unknown");
-    EXPECT_DEATH(pool.fork(1, 1), "existing");
 }
 
 TEST(KvPoolDeath, DegenerateConfigFatal)
@@ -195,7 +195,7 @@ class KvPoolProperty
 
 TEST_P(KvPoolProperty, ChurnNeverLeaksOrDoubleFrees)
 {
-    // Random admit/append/fork/release churn. A double-free would trip
+    // Random admit/append/share/release churn. A double-free would trip
     // the pool's refcount panic; a leak shows up as missing free
     // blocks once every survivor is released. Along the way, free
     // blocks can never exceed the pool size.
@@ -218,7 +218,7 @@ TEST_P(KvPoolProperty, ChurnNeverLeaksOrDoubleFrees)
         } else if (dice < 0.8 && !live.empty()) {
             const mem::KvSeqId parent =
                 live[rng.uniformInt(0, live.size() - 1)];
-            if (pool.fork(parent, next_id))
+            if (shareFullBlocks(pool, parent, next_id))
                 live.push_back(next_id);
             ++next_id;
         } else if (!live.empty()) {

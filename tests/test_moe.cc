@@ -62,13 +62,13 @@ TEST(Moe, WeightTrafficGrowsWithBatchButCaps)
 {
     const ModelConfig m = mixtral_8x7b();
     const double w1 =
-        stepTotals(m, hw::Dtype::Bf16, 128, 1.0).weightBytes;
+        StepTotalsTable(m, hw::Dtype::Bf16).at(128, 1.0).weightBytes;
     const double w8 =
-        stepTotals(m, hw::Dtype::Bf16, 128, 8.0).weightBytes;
+        StepTotalsTable(m, hw::Dtype::Bf16).at(128, 8.0).weightBytes;
     const double w256 =
-        stepTotals(m, hw::Dtype::Bf16, 128, 256.0).weightBytes;
+        StepTotalsTable(m, hw::Dtype::Bf16).at(128, 256.0).weightBytes;
     const double w4096 =
-        stepTotals(m, hw::Dtype::Bf16, 128, 4096.0).weightBytes;
+        StepTotalsTable(m, hw::Dtype::Bf16).at(128, 4096.0).weightBytes;
     EXPECT_LT(w1, w8);
     EXPECT_LT(w8, w256);
     // Saturates once every expert is touched.
@@ -81,7 +81,7 @@ TEST(Moe, FlopsScaleWithActiveExpertsOnly)
 {
     const ModelConfig moe = mixtral_8x7b();
     const double flops =
-        stepTotals(moe, hw::Dtype::Bf16, 1, 1.0).flopsPerSeq;
+        StepTotalsTable(moe, hw::Dtype::Bf16).at(1, 1.0).flopsPerSeq;
     // ~2 FLOPs per active matmul parameter.
     EXPECT_NEAR(flops / (2.0 * moe.matmulParams()), 1.0, 0.05);
 }
@@ -141,11 +141,11 @@ TEST(Moe, BatchRaisesMoeMemoryPressureFasterThanDense)
     const ModelConfig moe = mixtral_8x7b();
     const ModelConfig dense = llama2_7b();
     const double moe_growth =
-        stepTotals(moe, hw::Dtype::Bf16, 128, 16.0).weightBytes /
-        stepTotals(moe, hw::Dtype::Bf16, 128, 1.0).weightBytes;
+        StepTotalsTable(moe, hw::Dtype::Bf16).at(128, 16.0).weightBytes /
+        StepTotalsTable(moe, hw::Dtype::Bf16).at(128, 1.0).weightBytes;
     const double dense_growth =
-        stepTotals(dense, hw::Dtype::Bf16, 128, 16.0).weightBytes /
-        stepTotals(dense, hw::Dtype::Bf16, 128, 1.0).weightBytes;
+        StepTotalsTable(dense, hw::Dtype::Bf16).at(128, 16.0).weightBytes /
+        StepTotalsTable(dense, hw::Dtype::Bf16).at(128, 1.0).weightBytes;
     EXPECT_NEAR(dense_growth, 1.0, 1e-9);
     EXPECT_GT(moe_growth, 1.5);
 }

@@ -29,7 +29,7 @@ TEST(Ops, StepTotalsAggregateBlocksAndTop)
     const double pos = 777;
     const auto block = blockDecodeOps(m, hw::Dtype::Bf16, pos);
     const auto top = topLevelDecodeOps(m, hw::Dtype::Bf16);
-    const StepTotals t = stepTotals(m, hw::Dtype::Bf16, pos);
+    const StepTotals t = StepTotalsTable(m, hw::Dtype::Bf16).at(pos);
 
     double flops = 0.0, weights = 0.0, act = 0.0, kv = 0.0;
     for (const auto &op : block) {
@@ -98,7 +98,7 @@ TEST(Ops, StepFlopsApproxTwiceMatmulParams)
 {
     // At small context, decode FLOPs/token ~= 2 x matmul params.
     const ModelConfig m = llama2_7b();
-    const StepTotals t = stepTotals(m, hw::Dtype::Bf16, 1);
+    const StepTotals t = StepTotalsTable(m, hw::Dtype::Bf16).at(1);
     const double expect = 2.0 * static_cast<double>(m.matmulParams());
     EXPECT_NEAR(t.flopsPerSeq / expect, 1.0, 0.02);
 }
@@ -106,7 +106,7 @@ TEST(Ops, StepFlopsApproxTwiceMatmulParams)
 TEST(Ops, WeightBytesApproxModelSize)
 {
     const ModelConfig m = llama2_7b();
-    const StepTotals t = stepTotals(m, hw::Dtype::Bf16, 1);
+    const StepTotals t = StepTotalsTable(m, hw::Dtype::Bf16).at(1);
     // Per-step weight traffic ~ all matmul weights in bf16 (embedding
     // rows are fetched per token, not streamed).
     const double expect =
@@ -161,8 +161,8 @@ TEST(Ops, NormsAreTiny)
 TEST(Ops, Int8HalvesWeightTraffic)
 {
     const ModelConfig m = llama2_7b();
-    const StepTotals bf = stepTotals(m, hw::Dtype::Bf16, 64);
-    const StepTotals i8 = stepTotals(m, hw::Dtype::Int8, 64);
+    const StepTotals bf = StepTotalsTable(m, hw::Dtype::Bf16).at(64);
+    const StepTotals i8 = StepTotalsTable(m, hw::Dtype::Int8).at(64);
     EXPECT_NEAR(i8.weightBytes / bf.weightBytes, 0.5, 0.01);
     // KV stays bf16 under weight-only quantization.
     EXPECT_DOUBLE_EQ(i8.kvBytesPerSeq, bf.kvBytesPerSeq);
@@ -170,8 +170,10 @@ TEST(Ops, Int8HalvesWeightTraffic)
 
 TEST(Ops, GqaReducesKvTraffic)
 {
-    const StepTotals mha = stepTotals(llama2_7b(), hw::Dtype::Bf16, 512);
-    const StepTotals gqa = stepTotals(llama2_70b(), hw::Dtype::Bf16, 512);
+    const StepTotals mha =
+        StepTotalsTable(llama2_7b(), hw::Dtype::Bf16).at(512);
+    const StepTotals gqa =
+        StepTotalsTable(llama2_70b(), hw::Dtype::Bf16).at(512);
     // Per layer, 70B GQA KV width (1024) < 7B MHA (4096).
     EXPECT_LT(gqa.kvBytesPerSeq / 80.0, mha.kvBytesPerSeq / 32.0);
 }

@@ -120,7 +120,7 @@ TEST(PricingAlloc, StepTotalsAllocateNothing)
             EXPECT_EQ(allocationsIn([&] {
                           for (double nseq : {1.0, 4.0, 256.0}) {
                               const StepTotals t =
-                                  stepTotals(m, dt, 333.0, nseq);
+                                  StepTotalsTable(m, dt).at(333.0, nseq);
                               gSink = gSink + t.flopsPerSeq;
                           }
                       }),

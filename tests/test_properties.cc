@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "kv_share.hh"
 #include "util/stats.hh"
 #include "crypto/sha256.hh"
 #include "llm/perf_cpu.hh"
 #include "mem/kv_paged.hh"
-#include "mem/mee_tree.hh"
 #include "mem/tlb.hh"
 #include "serve/engine.hh"
 #include "serve/serving.hh"
@@ -176,45 +176,6 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(pages) + "_" + mode;
     });
 
-// ---- MEE roundtrip across geometries -----------------------------------
-
-using MeeCase = std::tuple<unsigned, unsigned>; // lines, arity
-
-class MeeGrid : public ::testing::TestWithParam<MeeCase>
-{
-};
-
-TEST_P(MeeGrid, RoundtripAndTamperDetection)
-{
-    const auto [lines, arity] = GetParam();
-    mem::PhysMem phys(lines);
-    mem::MeeTree mee(phys, crypto::sha256(std::string("k")), arity);
-
-    // Write a pattern to every 7th line, verify all, tamper one.
-    for (std::size_t i = 0; i < lines; i += 7) {
-        mem::CacheLine l{};
-        for (std::size_t b = 0; b < l.size(); ++b)
-            l[b] = static_cast<std::uint8_t>(i + b);
-        mee.writeLine(i, l);
-    }
-    for (std::size_t i = 0; i < lines; i += 7) {
-        const auto r = mee.readLine(i);
-        ASSERT_TRUE(r.ok) << "line " << i;
-        EXPECT_EQ(r.data[1], static_cast<std::uint8_t>(i + 1));
-    }
-    phys.raw()[(lines / 2) * mem::kLineBytes] ^= 0xff;
-    EXPECT_FALSE(mee.readLine(lines / 2).ok);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, MeeGrid,
-    ::testing::Combine(::testing::Values(8u, 64u, 513u),
-                       ::testing::Values(2u, 8u, 16u)),
-    [](const ::testing::TestParamInfo<MeeCase> &info) {
-        return "l" + std::to_string(std::get<0>(info.param)) + "_a" +
-               std::to_string(std::get<1>(info.param));
-    });
-
 // ---- SHA-256 incremental == one-shot across lengths --------------------
 
 class ShaLengths : public ::testing::TestWithParam<int>
@@ -239,8 +200,7 @@ TEST_P(ShaLengths, IncrementalMatchesOneShot)
         off += take;
         chunk = chunk * 2 + 1;
     }
-    EXPECT_EQ(crypto::toHex(h.finish()),
-              crypto::toHex(crypto::sha256(msg)));
+    EXPECT_EQ(h.finish(), crypto::sha256(msg));
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, ShaLengths,
@@ -313,7 +273,7 @@ class KvStormGrid : public ::testing::TestWithParam<KvStormCase>
 };
 
 // Block conservation (used + free == total, refcounts match tables)
-// must survive any interleaving of add / append / fork / release,
+// must survive any interleaving of add / append / share / release,
 // including calls that fail on exhaustion — and a full drain must
 // return every block to the free list.
 TEST_P(KvStormGrid, ConservationHoldsThroughRandomOps)
@@ -339,7 +299,7 @@ TEST_P(KvStormGrid, ConservationHoldsThroughRandomOps)
         } else if (roll < 0.85) {
             const std::size_t i = static_cast<std::size_t>(
                 rng.uniformInt(0, live.size() - 1));
-            if (kv.fork(live[i], next_id))
+            if (cllm::testing::shareFullBlocks(kv, live[i], next_id))
                 live.push_back(next_id);
             ++next_id;
         } else {

@@ -52,16 +52,6 @@ TEST(Rng, UniformInUnitInterval)
     }
 }
 
-TEST(Rng, UniformRangeRespectsBounds)
-{
-    Rng rng(7);
-    for (int i = 0; i < 1000; ++i) {
-        const double u = rng.uniform(-3.0, 5.5);
-        EXPECT_GE(u, -3.0);
-        EXPECT_LT(u, 5.5);
-    }
-}
-
 TEST(Rng, UniformMeanNearHalf)
 {
     Rng rng(11);

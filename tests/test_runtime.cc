@@ -101,49 +101,6 @@ TEST(Runtime, GreedyTokensInVocab)
         EXPECT_LT(t, tinyConfig().vocab);
 }
 
-TEST(Runtime, BeamOneMatchesGreedy)
-{
-    const TinyLlama m(tinyConfig(), hw::Dtype::Fp32, 13);
-    const auto greedy = m.generateGreedy(prompt(), 8);
-    const auto beams = m.generateBeam(prompt(), 8, 1);
-    ASSERT_EQ(beams.size(), 1u);
-    // Greedy may stop early on EOS; compare the common prefix.
-    const std::size_t n = std::min(greedy.size(),
-                                   beams[0].tokens.size());
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(greedy[i], beams[0].tokens[i]) << "at " << i;
-}
-
-TEST(Runtime, BeamScoresSortedAndFinite)
-{
-    const TinyLlama m(tinyConfig(), hw::Dtype::Fp32, 17);
-    const auto beams = m.generateBeam(prompt(), 6, 4);
-    ASSERT_EQ(beams.size(), 4u);
-    for (std::size_t i = 1; i < beams.size(); ++i)
-        EXPECT_GE(beams[i - 1].logProb, beams[i].logProb);
-    for (const auto &h : beams) {
-        EXPECT_TRUE(std::isfinite(h.logProb));
-        EXPECT_LE(h.logProb, 0.0); // log prob of a sequence
-        EXPECT_EQ(h.tokens.size(), 6u);
-    }
-}
-
-TEST(Runtime, BeamSearchFindsAtLeastGreedyScore)
-{
-    const TinyLlama m(tinyConfig(), hw::Dtype::Fp32, 19);
-    const auto b1 = m.generateBeam(prompt(), 6, 1);
-    const auto b4 = m.generateBeam(prompt(), 6, 4);
-    EXPECT_GE(b4.front().logProb, b1.front().logProb - 1e-9);
-}
-
-TEST(Runtime, BeamHypothesesDistinct)
-{
-    const TinyLlama m(tinyConfig(), hw::Dtype::Fp32, 23);
-    const auto beams = m.generateBeam(prompt(), 5, 3);
-    EXPECT_FALSE(beams[0].tokens == beams[1].tokens &&
-                 beams[1].tokens == beams[2].tokens);
-}
-
 TEST(Runtime, GqaConfigRuns)
 {
     ModelConfig cfg = tinyConfig();
@@ -224,7 +181,6 @@ TEST(RuntimeDeath, EmptyPromptFatal)
 {
     const TinyLlama m(tinyConfig(), hw::Dtype::Fp32, 53);
     EXPECT_DEATH(m.generateGreedy({}, 4), "empty prompt");
-    EXPECT_DEATH(m.generateBeam({}, 4, 2), "empty prompt");
 }
 
 TEST(RuntimeDeath, MisalignedHeadsFatal)

@@ -160,16 +160,6 @@ TEST(Workload, BurstyIsDeterministicAndDistinctFromPoisson)
     EXPECT_GT(gap_spread(a), gap_spread(pois));
 }
 
-TEST(Workload, ArrivalProcessNames)
-{
-    EXPECT_STREQ(arrivalProcessName(ArrivalProcess::Poisson),
-                 "poisson");
-    EXPECT_STREQ(arrivalProcessName(ArrivalProcess::Deterministic),
-                 "deterministic");
-    EXPECT_STREQ(arrivalProcessName(ArrivalProcess::BurstyOnOff),
-                 "bursty");
-}
-
 TEST(Workload, MeanInterArrivalMatchesRate)
 {
     WorkloadConfig w = lightLoad();
@@ -940,14 +930,20 @@ TEST(ServeCounters, ObsTotalsEqualTallyWhenIdle)
     const auto step = cpuModel(tee::makeTdx());
     ContinuousEngine eng(*step, cfg);
 
-    obs::Registry::global().reset();
+    // The registry is process-wide: compare what this engine adds.
+    std::vector<std::uint64_t> before;
+    for (const CounterDef &d : kServeCounters)
+        if (d.obs)
+            before.push_back(obs::Registry::global().counter(d.obs).total());
     const auto expectPublished = [&](const char *period) {
+        std::size_t i = 0;
         for (const CounterDef &d : kServeCounters) {
             if (!d.obs)
                 continue;
             const auto f =
                 std::get<std::uint64_t ServeCounters::*>(d.member);
-            EXPECT_EQ(obs::Registry::global().counter(d.obs).total(),
+            EXPECT_EQ(obs::Registry::global().counter(d.obs).total() -
+                          before[i++],
                       eng.tally().*f)
                 << period << ": " << d.obs;
         }

@@ -20,7 +20,6 @@ TEST(OnlineStats, EmptyIsZero)
     OnlineStats s;
     EXPECT_EQ(s.count(), 0u);
     EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
     EXPECT_EQ(s.min(), 0.0);
     EXPECT_EQ(s.max(), 0.0);
 }
@@ -31,7 +30,6 @@ TEST(OnlineStats, SingleSample)
     s.add(5.0);
     EXPECT_EQ(s.count(), 1u);
     EXPECT_EQ(s.mean(), 5.0);
-    EXPECT_EQ(s.variance(), 0.0);
     EXPECT_EQ(s.min(), 5.0);
     EXPECT_EQ(s.max(), 5.0);
 }
@@ -44,11 +42,10 @@ TEST(OnlineStats, MatchesClosedForm)
     for (double x : xs)
         s.add(x);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    // Sample variance with n-1: sum sq dev = 32, / 7.
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
     EXPECT_EQ(s.min(), 2.0);
     EXPECT_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.sum(), 40.0, 1e-12);
+    // Sample variance with n-1: sum sq dev = 32, / 7.
+    EXPECT_NEAR(summarize(xs, 0.0).stddev, std::sqrt(32.0 / 7.0), 1e-12);
 }
 
 TEST(Percentile, MedianOfOddSet)
@@ -80,7 +77,7 @@ TEST(Percentile, SingleSample)
 TEST(Percentile, EmptyIsZero)
 {
     // Empty sample sets are well-defined (0), matching OnlineStats
-    // and SampleSummary — obs::Histogram::summary leans on this.
+    // and SampleSummary.
     EXPECT_DOUBLE_EQ(percentiles({}, {50.0})[0], 0.0);
     EXPECT_DOUBLE_EQ(percentiles({}, {0.0})[0], 0.0);
     EXPECT_DOUBLE_EQ(percentiles({}, {100.0})[0], 0.0);
@@ -267,42 +264,49 @@ expectSameSummary(const SampleSummary &got, const SampleSummary &want)
     EXPECT_NEAR(got.stddev, want.stddev, 1e-12 * std::abs(want.stddev));
 }
 
-} // namespace
-
-TEST(OnlineStats, WeightedAddOfOneIsBitIdenticalToAdd)
+/** summarize() of one run-length multiset. */
+SampleSummary
+summarizeRuns(const RunLengthSamples &samples)
 {
-    OnlineStats a, b;
-    std::uint64_t x = 7;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = static_cast<double>(nextRand(x) % 100003) / 97.0;
-        a.add(v);
-        b.add(v, 1);
-        ASSERT_EQ(a.mean(), b.mean()) << i;
-        ASSERT_EQ(a.variance(), b.variance()) << i;
-    }
-    b.add(123.0, 0); // zero weight is a no-op
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.mean(), b.mean());
-    EXPECT_EQ(a.variance(), b.variance());
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
+    const RunLengthSamples *const part = &samples;
+    return summarize({&part, 1});
 }
 
-TEST(OnlineStats, WeightedAddMatchesRepeatedAdd)
+} // namespace
+
+// Samples a few ulps apart. A per-sample Welford pass rounds its
+// running mean to the same few doubles and misses the spread by up to
+// ~70%; the stddev must match its closed form from integer ulp sums,
+// and the Z filter, which divides by it, must keep samples that lie
+// within two stddevs.
+TEST(Summarize, StddevExactOnValuesUlpsApart)
 {
-    OnlineStats a, b;
-    const std::pair<double, std::uint64_t> runs[] = {
-        {3.5, 4}, {0.25, 1}, {9.0, 17}, {3.5, 2}, {-1.0, 6}};
-    for (const auto &[v, n] : runs) {
-        a.add(v, n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            b.add(v);
+    std::uint64_t x = 2026;
+    const double base = 0.0123;
+    const double ulp = std::nextafter(base, 1.0) - base;
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<double> v;
+        std::uint64_t sum_k = 0, sum_k2 = 0;
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t k = nextRand(x) % 4;
+            double y = base;
+            for (std::uint64_t j = 0; j < k; ++j)
+                y = std::nextafter(y, 1.0);
+            v.push_back(y);
+            sum_k += k;
+            sum_k2 += k * k;
+        }
+        SCOPED_TRACE(trial);
+        const double n = static_cast<double>(v.size());
+        // n·Σk² − (Σk)² is exact in 64 bits at this size.
+        const double m2n =
+            static_cast<double>(v.size() * sum_k2 - sum_k * sum_k);
+        const double stddev = ulp * std::sqrt(m2n / n / (n - 1.0));
+        EXPECT_NEAR(summarize(v, 0.0).stddev, stddev, 1e-12 * stddev);
+        std::size_t removed = 9;
+        zScoreFilter(v, 3.0, &removed);
+        EXPECT_EQ(removed, 0u);
     }
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_NEAR(a.mean(), b.mean(), 1e-12 * std::abs(b.mean()));
-    EXPECT_NEAR(a.variance(), b.variance(), 1e-12 * b.variance());
-    EXPECT_EQ(a.min(), -1.0);
-    EXPECT_EQ(a.max(), 9.0);
 }
 
 TEST(RunLengthSamples, PushExtendsOnlyTheLastRun)
@@ -332,7 +336,7 @@ TEST(RunLengthSummary, BitIdenticalToExpandedSummary)
             servingLikeSamples(seed, 50 + 97 * static_cast<int>(seed));
         SCOPED_TRACE(seed);
         ASSERT_GT(expand(rl).size(), 2 * rl.runs().size());
-        expectSameSummary(summarize(rl), summarize(expand(rl), 0.0));
+        expectSameSummary(summarizeRuns(rl), summarize(expand(rl), 0.0));
     }
 }
 
@@ -350,7 +354,7 @@ TEST(RunLengthSummary, BitIdenticalOnSmallMultisets)
             rl.push(static_cast<double>(nextRand(x) % values) * 0.1,
                     1 + nextRand(x) % 4);
         SCOPED_TRACE(trial);
-        expectSameSummary(summarize(rl), summarize(expand(rl), 0.0));
+        expectSameSummary(summarizeRuns(rl), summarize(expand(rl), 0.0));
         if (::testing::Test::HasFailure())
             return;
     }
@@ -359,31 +363,31 @@ TEST(RunLengthSummary, BitIdenticalOnSmallMultisets)
 TEST(RunLengthSummary, EdgeCases)
 {
     // Empty: the all-zero summary.
-    const SampleSummary none = summarize(RunLengthSamples{});
+    const SampleSummary none = summarizeRuns(RunLengthSamples{});
     expectSameSummary(none, SampleSummary{});
     EXPECT_EQ(none.mean, 0.0);
     EXPECT_EQ(none.stddev, 0.0);
 
     const auto check = [](const RunLengthSamples &rl) {
-        expectSameSummary(summarize(rl), summarize(expand(rl), 0.0));
+        expectSameSummary(summarizeRuns(rl), summarize(expand(rl), 0.0));
     };
     RunLengthSamples one;
     one.push(0.125);
     check(one);
-    EXPECT_EQ(summarize(one).p99, 0.125);
+    EXPECT_EQ(summarizeRuns(one).p99, 0.125);
 
     RunLengthSamples two;
     two.push(3.0);
     two.push(1.0);
     check(two);
-    EXPECT_EQ(summarize(two).p50, 2.0);
+    EXPECT_EQ(summarizeRuns(two).p50, 2.0);
 
     RunLengthSamples same;
     same.push(0.7, 9);
     same.push(0.7, 4);
     ASSERT_EQ(same.runs().size(), 1u);
     check(same);
-    EXPECT_EQ(summarize(same).stddev, 0.0);
+    EXPECT_EQ(summarizeRuns(same).stddev, 0.0);
 
     // n = 101: ranks 50, 95 and 99 are whole, so frac = 0 and each
     // percentile is one exact order statistic.
@@ -631,9 +635,8 @@ TEST(RunLengthOracle, ValuesOneUlpApart)
 {
     // base + k ulps, k in 0..3. Order statistics match the oracle;
     // the moments are checked against their closed form from integer
-    // sums, because the oracle's per-sample Welford pass rounds its
-    // running mean to the same few doubles and misses the stddev by
-    // up to ~70% here (checked against quad precision).
+    // sums (Summarize.StddevExactOnValuesUlpsApart holds the oracle's
+    // own stddev to the same form).
     std::uint64_t x = 4242;
     const double base = 0.0123;
     const double ulp = std::nextafter(base, 1.0) - base;
@@ -675,7 +678,7 @@ TEST(RunLengthSummaryDeath, NonFiniteSamplePanics)
         poisoned.push(bad, 2);
         poisoned.push(0.75);
         EXPECT_DEATH(summarizeParts({ok, poisoned}), "non-finite");
-        EXPECT_DEATH(summarize(poisoned), "non-finite");
+        EXPECT_DEATH(summarizeRuns(poisoned), "non-finite");
     }
 }
 

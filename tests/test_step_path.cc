@@ -343,7 +343,14 @@ fingerprint(const StepCase &c)
 {
     Fingerprint fp;
     Fnv calls;
-    obs::Registry::global().reset();
+    // The registry is process-wide: hash what this run adds to each
+    // counter, and the gauges it leaves behind from a zero start.
+    obs::Registry &reg = obs::Registry::global();
+    std::vector<std::uint64_t> before;
+    for (const char *name : kCounters)
+        before.push_back(reg.counter(name).total());
+    for (const char *name : kGauges)
+        reg.gauge(name).set(0.0);
     obs::Tracer tracer(obs::TraceMode::Sim);
     ServerConfig cfg = c.cfg;
     cfg.tracer = &tracer;
@@ -378,10 +385,10 @@ fingerprint(const StepCase &c)
     fp.metrics = mh.h;
 
     Fnv ch;
-    for (const char *name : kCounters)
-        ch.pod(obs::Registry::global().counter(name).total());
+    for (std::size_t i = 0; i < std::size(kCounters); ++i)
+        ch.pod(reg.counter(kCounters[i]).total() - before[i]);
     for (const char *name : kGauges)
-        ch.pod(obs::Registry::global().gauge(name).get());
+        ch.pod(reg.gauge(name).get());
     fp.counters = ch.h;
     return fp;
 }
