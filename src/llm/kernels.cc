@@ -66,13 +66,8 @@ gemmTransB(const Tensor &a, const Tensor &b, Tensor &c)
         for (std::size_t i = 0; i < m; ++i) {
             const float *arow = a.row(i);
             float *crow = c.row(i);
-            for (std::size_t j = j0; j < j1; ++j) {
-                const float *brow = b.row(j);
-                float acc = 0.0f;
-                for (std::size_t p = 0; p < k; ++p)
-                    acc += arow[p] * brow[p];
-                crow[j] = acc;
-            }
+            for (std::size_t j = j0; j < j1; ++j)
+                crow[j] = dot(b.row(j), arow, k);
         }
     });
 }
@@ -85,13 +80,8 @@ matvec(const Tensor &w, const float *x, float *y)
     constexpr std::size_t kRowGrain = 32;
     par::parallelFor(0, rows, kRowGrain, [&](std::size_t r0,
                                              std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            const float *wr = w.row(r);
-            float acc = 0.0f;
-            for (std::size_t c = 0; c < cols; ++c)
-                acc += wr[c] * x[c];
-            y[r] = acc;
-        }
+        for (std::size_t r = r0; r < r1; ++r)
+            y[r] = dot(w.row(r), x, cols);
     });
 }
 
@@ -216,13 +206,9 @@ matvecQuantized(const QuantizedTensor &w, const float *x, float *y)
     constexpr std::size_t kRowGrain = 32;
     par::parallelFor(0, w.rows, kRowGrain, [&](std::size_t r0,
                                                std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            const std::int8_t *row = w.data.data() + r * w.cols;
-            float acc = 0.0f;
-            for (std::size_t c = 0; c < w.cols; ++c)
-                acc += static_cast<float>(row[c]) * x[c];
-            y[r] = acc * w.scales[r];
-        }
+        for (std::size_t r = r0; r < r1; ++r)
+            y[r] = dot(w.data.data() + r * w.cols, x, w.cols) *
+                   w.scales[r];
     });
 }
 

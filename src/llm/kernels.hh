@@ -7,10 +7,13 @@
  * tests validate them against naive references and the quantization
  * error bounds.
  *
- * The matrix kernels (gemm, gemmTransB, matvec, matvecQuantized) run
- * on the cllm::par pool, partitioned so every parallel chunk owns a
- * disjoint slice of the output and accumulates in the same order as
- * the serial loop — results are bit-identical at any CLLM_THREADS.
+ * Every dot product of the decode path (matvec, gemmTransB,
+ * matvecQuantized and the attention scores) is dot() below, whose
+ * summation order is fixed by the length alone. The matrix kernels
+ * (gemm, gemmTransB, matvec, matvecQuantized) run on the cllm::par
+ * pool, partitioned so every parallel chunk owns a disjoint slice of
+ * the output; a chunk computes each output element exactly as one
+ * thread would, so results are bit-identical at any CLLM_THREADS.
  */
 
 #ifndef CLLM_LLM_KERNELS_HH
@@ -23,6 +26,39 @@
 #include "llm/tensor.hh"
 
 namespace cllm::llm {
+
+/**
+ * Dot product of w[0, n) and x[0, n) in a fixed lane order. Sixteen
+ * partial sums run over the whole 16-element blocks, lane l taking
+ * the elements i with i mod 16 == l; they fold pairwise (lane l adds
+ * lane l + 8, then l + 4, l + 2, l + 1), and then the tail elements
+ * are added one by one. The order depends only on n, so a value
+ * never depends on thread count, chunking or instruction set, and the
+ * independent lanes let the compiler vectorise the loop without
+ * reassociating it. W is float, or int8_t widened to float for the
+ * quantized path.
+ */
+template <typename W>
+inline float
+dot(const W *w, const float *x, std::size_t n)
+{
+    constexpr std::size_t kLanes = 16;
+    float lane[kLanes] = {};
+    const std::size_t whole = n - n % kLanes;
+    for (std::size_t i = 0; i < whole; i += kLanes)
+        for (std::size_t l = 0; l < kLanes; ++l)
+            lane[l] += static_cast<float>(w[i + l]) * x[i + l];
+    for (std::size_t l = 0; l < 8; ++l)
+        lane[l] += lane[l + 8];
+    for (std::size_t l = 0; l < 4; ++l)
+        lane[l] += lane[l + 4];
+    for (std::size_t l = 0; l < 2; ++l)
+        lane[l] += lane[l + 2];
+    float acc = lane[0] + lane[1];
+    for (std::size_t i = whole; i < n; ++i)
+        acc += static_cast<float>(w[i]) * x[i];
+    return acc;
+}
 
 /**
  * C = A (m x k) * B (k x n), cache-blocked and row-parallel.
@@ -82,7 +118,10 @@ struct QuantizedTensor
     Tensor dequantize() const;
 };
 
-/** y = Wq * x with on-the-fly dequantization (int32 accumulate). */
+/**
+ * y = Wq * x with on-the-fly dequantization: each row's dot() over
+ * the widened int8 weights, times the row scale.
+ */
 void matvecQuantized(const QuantizedTensor &w, const float *x, float *y);
 
 } // namespace cllm::llm

@@ -351,10 +351,7 @@ TinyLlama::forward(TokenId token, KvCache &cache) const
                 for (std::size_t p = 0; p < ctx; ++p) {
                     const float *kh =
                         cache.key(li, p).data() + kv_h * hd;
-                    float s = 0.0f;
-                    for (unsigned i = 0; i < hd; ++i)
-                        s += qh[i] * kh[i];
-                    scores[p] = s * inv_sqrt;
+                    scores[p] = dot(kh, qh, hd) * inv_sqrt;
                 }
                 softmaxInPlace(scores.data(), ctx);
                 float *out_h = attn_out.data() + h * hd;
@@ -477,10 +474,7 @@ TinyLlama::forwardBatch(const std::vector<TokenId> &tokens,
                     for (std::size_t p = 0; p < ctx; ++p) {
                         const float *kh =
                             caches[b]->key(li, p).data() + kv_h * hd;
-                        float s = 0.0f;
-                        for (unsigned i = 0; i < hd; ++i)
-                            s += qh[i] * kh[i];
-                        scores[p] = s * inv_sqrt;
+                        scores[p] = dot(kh, qh, hd) * inv_sqrt;
                     }
                     softmaxInPlace(scores.data(), ctx);
                     float *out_h = attn_out.row(b) + h * hd;

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "llm/kernels.hh"
@@ -102,6 +105,122 @@ TEST(Matvec, MatchesGemmColumn)
     naiveGemm(w, x, ref);
     for (std::size_t i = 0; i < 32; ++i)
         EXPECT_NEAR(y[i], ref.at(i, 0), 1e-3);
+}
+
+namespace {
+
+/** Lengths that end on, just past and just short of a 16-lane block. */
+constexpr std::size_t kRaggedLengths[] = {0, 1, 15, 16, 17, 33, 255, 257};
+
+/** Σ w_i x_i in double, and Σ |w_i x_i| for the rounding bound. */
+template <typename W>
+std::pair<double, double>
+referenceDot(const W *w, const float *x, std::size_t n)
+{
+    double sum = 0.0, abs_sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double p = static_cast<double>(w[i]) * x[i];
+        sum += p;
+        abs_sum += std::abs(p);
+    }
+    return {sum, abs_sum};
+}
+
+/** A float sum of n rounded products is within
+ *  γ_n · Σ |w_i x_i| < (n + 1) · 2^-24 · Σ |w_i x_i| of the exact
+ *  value, in any summation order. */
+double
+dotErrorBound(std::size_t n, double abs_sum)
+{
+    return static_cast<double>(n + 1) * 0x1p-24 * abs_sum;
+}
+
+std::vector<float>
+randomVector(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<float> v(n);
+    for (auto &x : v)
+        x = static_cast<float>(rng.gaussian(0.0, 1.0));
+    return v;
+}
+
+} // namespace
+
+TEST(Dot, RaggedLengthsMatchDoubleReference)
+{
+    for (std::size_t n : kRaggedLengths) {
+        const std::vector<float> w = randomVector(n, 100 + n);
+        const std::vector<float> x = randomVector(n, 200 + n);
+        std::vector<std::int8_t> q(n);
+        for (std::size_t i = 0; i < n; ++i)
+            q[i] = static_cast<std::int8_t>(
+                std::clamp(std::round(w[i] * 40.0f), -127.0f, 127.0f));
+
+        const auto [ref, abs_sum] = referenceDot(w.data(), x.data(), n);
+        EXPECT_NEAR(dot(w.data(), x.data(), n), ref,
+                    dotErrorBound(n, abs_sum)) << "n=" << n;
+        const auto [qref, qabs_sum] = referenceDot(q.data(), x.data(), n);
+        EXPECT_NEAR(dot(q.data(), x.data(), n), qref,
+                    dotErrorBound(n, qabs_sum)) << "int8 n=" << n;
+    }
+}
+
+TEST(Dot, FollowsFixedLaneOrder)
+{
+    // The contract spelled out one scalar step at a time: lane i % 16
+    // takes element i of the whole blocks, the lanes fold at distance
+    // 8, 4, 2, 1, and the tail adds on in order.
+    for (std::size_t n : kRaggedLengths) {
+        const std::vector<float> w = randomVector(n, 300 + n);
+        const std::vector<float> x = randomVector(n, 400 + n);
+        const std::size_t whole = n / 16 * 16;
+        float lane[16] = {};
+        for (std::size_t i = 0; i < whole; ++i)
+            lane[i % 16] += w[i] * x[i];
+        for (std::size_t h = 8; h >= 1; h /= 2)
+            for (std::size_t l = 0; l < h; ++l)
+                lane[l] += lane[l + h];
+        float expect = lane[0];
+        for (std::size_t i = whole; i < n; ++i)
+            expect += w[i] * x[i];
+        EXPECT_EQ(dot(w.data(), x.data(), n), expect) << "n=" << n;
+    }
+}
+
+TEST(Matvec, RaggedColsMatchNaive)
+{
+    for (std::size_t cols : kRaggedLengths) {
+        const Tensor w = randomTensor(37, cols, 30 + cols);
+        const Tensor x = randomTensor(cols, 1, 31 + cols);
+        std::vector<float> y(37);
+        matvec(w, x.data(), y.data());
+        for (std::size_t r = 0; r < 37; ++r) {
+            const auto [ref, abs_sum] =
+                referenceDot(w.row(r), x.data(), cols);
+            EXPECT_NEAR(y[r], ref, dotErrorBound(cols, abs_sum))
+                << "cols=" << cols << " row " << r;
+        }
+    }
+}
+
+TEST(GemmTransB, MatchesMatvecPerRowAtRaggedCols)
+{
+    // gemmTransB(A, W) row i equals matvec(W, A.row(i)) bit for bit,
+    // tail elements included.
+    for (std::size_t k : {1, 17, 33, 257}) {
+        const Tensor a = randomTensor(5, k, 40 + k);
+        const Tensor w = randomTensor(70, k, 41 + k);
+        Tensor c(5, 70);
+        gemmTransB(a, w, c);
+        std::vector<float> y(70);
+        for (std::size_t r = 0; r < 5; ++r) {
+            matvec(w, a.row(r), y.data());
+            for (std::size_t j = 0; j < 70; ++j)
+                ASSERT_EQ(c.at(r, j), y[j])
+                    << "k=" << k << " at (" << r << ", " << j << ")";
+        }
+    }
 }
 
 TEST(RmsNorm, ProducesUnitRms)
@@ -294,6 +413,25 @@ TEST(Int8Quant, MatvecCloseToFloat)
     matvecQuantized(q, x.data(), yq.data());
     for (std::size_t i = 0; i < 32; ++i)
         EXPECT_NEAR(yq[i], yf[i], 0.15 * (std::abs(yf[i]) + 1.0));
+}
+
+TEST(Int8Quant, MatvecRaggedColsMatchesReference)
+{
+    // Row r is scale_r * Σ q_rc x_c over the widened int8 weights.
+    for (std::size_t cols : {17, 33, 257}) {
+        const QuantizedTensor q =
+            QuantizedTensor::quantize(randomTensor(45, cols, 50 + cols));
+        const std::vector<float> x = randomVector(cols, 51 + cols);
+        std::vector<float> y(45);
+        matvecQuantized(q, x.data(), y.data());
+        for (std::size_t r = 0; r < 45; ++r) {
+            const auto [ref, abs_sum] = referenceDot(
+                q.data.data() + r * cols, x.data(), cols);
+            EXPECT_NEAR(y[r], ref * q.scales[r],
+                        dotErrorBound(cols + 1, abs_sum) * q.scales[r])
+                << "cols=" << cols << " row " << r;
+        }
+    }
 }
 
 TEST(Int8Quant, ZeroRowHandled)

@@ -10,6 +10,7 @@
 
 #include "llm/runtime.hh"
 #include "llm/tokenizer.hh"
+#include "par/pool.hh"
 #include "util/rng.hh"
 
 using namespace cllm;
@@ -36,6 +37,25 @@ prompt()
 {
     return ByteTokenizer().encode("hello world");
 }
+
+/**
+ * Death tests re-execute the binary instead of forking it: the par
+ * pool's workers outlive the cases that started them, and a fork()ed
+ * child of a multithreaded parent can hang on a lock a worker held.
+ */
+class ThreadsafeDeathTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    }
+};
+
+using RuntimeDeath = ThreadsafeDeathTest;
+using KvCacheDeath = ThreadsafeDeathTest;
+using RuntimeBatchDeath = ThreadsafeDeathTest;
+using GemmTransBDeath = ThreadsafeDeathTest;
 
 } // namespace
 
@@ -170,20 +190,20 @@ TEST(Runtime, LogitsCoverVocab)
     EXPECT_EQ(m.forward(0, c).size(), tinyConfig().vocab);
 }
 
-TEST(RuntimeDeath, TokenOutOfVocabFatal)
+TEST_F(RuntimeDeath, TokenOutOfVocabFatal)
 {
     const TinyLlama m(tinyConfig(), hw::Dtype::Fp32, 47);
     KvCache c = m.makeCache();
     EXPECT_DEATH(m.forward(100000, c), "vocab");
 }
 
-TEST(RuntimeDeath, EmptyPromptFatal)
+TEST_F(RuntimeDeath, EmptyPromptFatal)
 {
     const TinyLlama m(tinyConfig(), hw::Dtype::Fp32, 53);
     EXPECT_DEATH(m.generateGreedy({}, 4), "empty prompt");
 }
 
-TEST(RuntimeDeath, MisalignedHeadsFatal)
+TEST_F(RuntimeDeath, MisalignedHeadsFatal)
 {
     ModelConfig bad = tinyConfig();
     bad.kvHeads = 3; // 4 heads not divisible by 3
@@ -215,14 +235,14 @@ TEST(Tokenizer, SpecialsSkippedInDecode)
               "hi");
 }
 
-TEST(KvCacheDeath, WrongLayerPanics)
+TEST_F(KvCacheDeath, WrongLayerPanics)
 {
     KvCache c(2, 16);
     std::vector<float> k(16), v(16);
     EXPECT_DEATH(c.append(5, k, v), "layer");
 }
 
-TEST(KvCacheDeath, WrongWidthPanics)
+TEST_F(KvCacheDeath, WrongWidthPanics)
 {
     KvCache c(2, 16);
     std::vector<float> k(8), v(16);
@@ -287,7 +307,7 @@ TEST(RuntimeBatch, MixedPositionsSupported)
     EXPECT_EQ(got[0], m.forward(7, replay));
 }
 
-TEST(RuntimeBatchDeath, MismatchedSizesFatal)
+TEST_F(RuntimeBatchDeath, MismatchedSizesFatal)
 {
     const TinyLlama m(tinyConfig(), hw::Dtype::Fp32, 83);
     KvCache c = m.makeCache();
@@ -314,8 +334,98 @@ TEST(GemmTransB, MatchesMatvecPerRow)
     }
 }
 
-TEST(GemmTransBDeath, ShapeMismatchPanics)
+TEST_F(GemmTransBDeath, ShapeMismatchPanics)
 {
     Tensor a(2, 4), b(3, 5), c(2, 3);
     EXPECT_DEATH(gemmTransB(a, b, c), "shape mismatch");
+}
+
+// ------------------------------------------------- thread determinism
+
+namespace {
+
+/** Widths that are not multiples of the dot kernel's 16 lanes, so
+ *  every projection and attention score has a tail: head_dim 18,
+ *  hidden 72, ffn 136, grouped-query attention. */
+ModelConfig
+raggedConfig()
+{
+    ModelConfig m = tinyConfig();
+    m.hidden = 72;
+    m.heads = 4;
+    m.kvHeads = 2;
+    m.ffn = 136;
+    return m;
+}
+
+constexpr hw::Dtype kModes[] = {hw::Dtype::Fp32, hw::Dtype::Bf16,
+                                hw::Dtype::Int8};
+
+/** Run `fn` under 1, 2, 4 and 8 threads and require bit-identical
+ *  logits. */
+template <typename Fn>
+void
+expectBitIdenticalAcrossThreads(Fn &&fn)
+{
+    par::setThreadCount(1);
+    const std::vector<std::vector<float>> serial = fn();
+    for (unsigned threads : {2u, 4u, 8u}) {
+        par::setThreadCount(threads);
+        EXPECT_EQ(fn(), serial) << threads << " threads";
+    }
+    par::setThreadCount(0);
+}
+
+} // namespace
+
+TEST(RuntimeThreadDeterminism, ForwardBitIdentical)
+{
+    for (hw::Dtype mode : kModes) {
+        SCOPED_TRACE(hw::kDtypeNames.name(mode));
+        const TinyLlama m(raggedConfig(), mode, 97);
+        expectBitIdenticalAcrossThreads([&] {
+            KvCache c = m.makeCache();
+            std::vector<std::vector<float>> logits;
+            for (TokenId t : prompt())
+                logits.push_back(m.forward(t, c));
+            return logits;
+        });
+    }
+}
+
+TEST(RuntimeThreadDeterminism, ForwardBatchBitIdentical)
+{
+    // Three sequences at depths 0, 1 and 2 decode four batched steps;
+    // at every thread count each row also equals a sequential
+    // forward() over the same history.
+    for (hw::Dtype mode : kModes) {
+        SCOPED_TRACE(hw::kDtypeNames.name(mode));
+        const TinyLlama m(raggedConfig(), mode, 101);
+        expectBitIdenticalAcrossThreads([&] {
+            std::vector<KvCache> bat(3, m.makeCache());
+            std::vector<KvCache> seq(3, m.makeCache());
+            for (std::size_t b = 0; b < 3; ++b) {
+                for (std::size_t p = 0; p < b; ++p) {
+                    const TokenId t = static_cast<TokenId>(20 + b + p);
+                    m.forward(t, bat[b]);
+                    m.forward(t, seq[b]);
+                }
+            }
+            std::vector<KvCache *> ptrs = {&bat[0], &bat[1], &bat[2]};
+            std::vector<std::vector<float>> logits;
+            for (TokenId step = 0; step < 4; ++step) {
+                const std::vector<TokenId> toks = {
+                    static_cast<TokenId>(65 + step),
+                    static_cast<TokenId>(150 + step),
+                    static_cast<TokenId>(7 * step)};
+                const auto got = m.forwardBatch(toks, ptrs);
+                for (std::size_t b = 0; b < 3; ++b) {
+                    EXPECT_EQ(got[b], m.forward(toks[b], seq[b]))
+                        << "sequence " << b << " step " << step;
+                    logits.push_back(got[b]);
+                }
+            }
+            return logits;
+        });
+    }
 }
